@@ -13,6 +13,7 @@ from .sigchar import (
     DecompositionEntry,
     DomainError,
     GenericityError,
+    InvariantError,
     SCoeff,
     SignatureSeries,
     asymptotic_signature,

@@ -26,14 +26,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .sigchar import DomainError, RationalLike, ensure_generic, fractionize, peel_decompose
+from . import exact
+from .sigchar import (
+    DomainError,
+    InvariantError,
+    RationalLike,
+    ensure_generic,
+    fractionize,
+    peel_decompose,
+)
 from .shapovalov import (
     GramMatrix,
     Matrix,
     SingularBasis,
+    _gram_on_basis,
     compositions,
     express_in_basis,
-    gram_on_multiplicity,
+    lex_compositions,
     raising_matrix,
     singular_basis,
 )
@@ -264,7 +273,7 @@ def _starts(cfg: MasterConfig, rng: np.random.Generator):
             for i in range(count)
         ]
 
-    occupancies = list(_compositions_of(m, len(gaps)))
+    occupancies = list(lex_compositions(m, len(gaps)))
     pair_splits = [(m - 2 * c, c) for c in range(1, m // 2 + 1)]
     while True:
         for occ in occupancies:
@@ -284,15 +293,6 @@ def _starts(cfg: MasterConfig, rng: np.random.Generator):
             yield center + scale * spread * (
                 rng.standard_normal(m) + 1j * rng.standard_normal(m)
             )
-
-
-def _compositions_of(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_of(total - first, slots - 1):
-            yield (first,) + rest
 
 
 def find_critical_points(
@@ -373,7 +373,7 @@ def _all_negative_points(
     gaps = [(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
     lam_base = lam - 2.0
     found: list[np.ndarray] = []
-    for occ in _compositions_of(cfg.m, len(gaps)):
+    for occ in lex_compositions(cfg.m, len(gaps)):
         for attempt in range(20):
             start = []
             for (a, b), count in zip(gaps, occ):
@@ -502,18 +502,15 @@ def hamiltonian_matrices(cfg: MasterConfig, level: int | None = None) -> list[Ma
                 if j == i:
                     continue
                 w = 1 / (z[i] - z[j])
-                ki, kj = comp[i], comp[j]
-                if ki > 0:
-                    target = list(comp)
-                    target[i] -= 1
-                    target[j] += 1
-                    mat[index[tuple(target)]][c] += w * ki * (lam[i] - ki + 1)
-                if kj > 0:
-                    target = list(comp)
-                    target[j] -= 1
-                    target[i] += 1
-                    mat[index[tuple(target)]][c] += w * kj * (lam[j] - kj + 1)
-                mat[c][c] += w * (lam[i] - 2 * ki) * (lam[j] - 2 * kj) / 2
+                # E_i F_j, then F_i E_j: one unit moves from factor a to factor b
+                for a, b in ((i, j), (j, i)):
+                    k = comp[a]
+                    if k > 0:
+                        target = list(comp)
+                        target[a] -= 1
+                        target[b] += 1
+                        mat[index[tuple(target)]][c] += w * k * (lam[a] - k + 1)
+                mat[c][c] += w * (lam[i] - 2 * comp[i]) * (lam[j] - 2 * comp[j]) / 2
         mats.append(mat)
     return mats
 
@@ -534,61 +531,39 @@ class GaudinSystem:
 def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     """Restrict the Hamiltonians to the singular vectors and check them exactly.
 
-    Exact assertions: the restriction exists (the subspace is invariant), the
+    Exact checks: the restriction exists (the subspace is invariant), the
     restricted matrices commute pairwise, and each is self-adjoint for the
     induced Gram matrix.
     """
     cfg.require_generic()
     basis = singular_basis(cfg.weights, cfg.m)
-    gram = gram_on_multiplicity(cfg.weights, cfg.m)
-    full = hamiltonian_matrices(cfg)
+    gram = _gram_on_basis(basis)
     restricted = []
-    for mat in full:
-        images = []
-        for vec in basis.vectors:
-            images.append(
-                [
-                    sum(mat[r][c] * vec[c] for c in range(len(vec)))
-                    for r in range(len(mat))
-                ]
-            )
+    for mat in hamiltonian_matrices(cfg):
+        images = exact.matmul(basis.vectors, list(zip(*mat)))
         coords = express_in_basis(images, basis.vectors)
         restricted.append(tuple(tuple(row) for row in coords))
 
-    r = basis.dim
-    for a in range(len(restricted)):
-        for b in range(a + 1, len(restricted)):
-            _assert_commute(restricted[a], restricted[b], r)
+    for a, b in itertools.combinations(restricted, 2):
+        _check_commute(a, b)
     for mat in restricted:
-        _assert_self_adjoint(mat, gram, r)
+        _check_self_adjoint(mat, gram)
     return GaudinSystem(cfg, basis, tuple(restricted), gram)
 
 
-def _matmul(a, b, r: int):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r)]
-        for i in range(r)
-    ]
+def _check_commute(a, b) -> None:
+    if exact.matmul(a, b) != exact.matmul(b, a):
+        raise InvariantError("Gaudin Hamiltonians fail to commute: arithmetic bug")
 
 
-def _assert_commute(a, b, r: int) -> None:
-    ab, ba = _matmul(a, b, r), _matmul(b, a, r)
-    assert all(ab[i][j] == ba[i][j] for i in range(r) for j in range(r)), (
-        "Gaudin Hamiltonians fail to commute: arithmetic bug"
-    )
-
-
-def _assert_self_adjoint(mat, gram: GramMatrix, r: int) -> None:
+def _check_self_adjoint(mat, gram: GramMatrix) -> None:
     # operator rows act on coordinates: restriction matrix R with H s_u = sum R[u][w] s_w,
     # self-adjointness for gram G reads (G R^T) symmetric
-    g = gram.entries
-    gr = [
-        [sum(g[i][k] * mat[j][k] for k in range(r)) for j in range(r)]
-        for i in range(r)
-    ]
-    assert all(gr[i][j] == gr[j][i] for i in range(r) for j in range(r)), (
-        "Hamiltonian is not self-adjoint for the induced form: arithmetic bug"
-    )
+    gr = exact.matmul(gram.entries, list(zip(*mat)))
+    if any(gr[i][j] != gr[j][i] for i in range(len(gr)) for j in range(i)):
+        raise InvariantError(
+            "Hamiltonian is not self-adjoint for the induced form: arithmetic bug"
+        )
 
 
 def hamiltonian_eigenvalue(cfg: MasterConfig, i: int, qpoly: Sequence[complex]) -> complex:
@@ -635,32 +610,6 @@ def bethe_vector(cfg: MasterConfig, t: Sequence[complex]) -> np.ndarray:
         state = new
     comps = compositions(cfg.m, n)
     return np.array([state.get(c, 0.0) for c in comps])
-
-
-def bethe_vector_closed_form(cfg: MasterConfig, t: Sequence[complex]) -> np.ndarray:
-    """b_Q from the assignment-sum expansion: the coefficient of the basis
-    vector with multiplicities (a_1, ..., a_n) is
-    sum over maps sigma (with |sigma^{-1}(i)| = a_i) of prod_j 1/(t_j - z_{sigma(j)})."""
-    _check_arrangement(cfg, t)
-    n, m = cfg.n, cfg.m
-    z = [complex(v) for v in cfg.z]
-    tv = [complex(x) for x in t]
-    comps = compositions(m, n)
-    out = np.zeros(len(comps), dtype=complex)
-    for idx, comp in enumerate(comps):
-        total = 0.0 + 0.0j
-        for word in itertools.product(range(n), repeat=m):
-            counts = [0] * n
-            for w in word:
-                counts[w] += 1
-            if tuple(counts) != comp:
-                continue
-            prod = 1.0 + 0.0j
-            for j, w in enumerate(word):
-                prod /= tv[j] - z[w]
-            total += prod
-        out[idx] = total
-    return out
 
 
 def raising_residual(cfg: MasterConfig, vec: np.ndarray) -> float:

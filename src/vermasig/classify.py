@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .quantum import q_binomial_sign
 from .sigchar import (
     DomainError,
+    InvariantError,
     RationalLike,
     fractionize,
     peel_decompose,
@@ -83,12 +85,6 @@ def _ensure_nonintegral(x: Fraction, name: str) -> Fraction:
     return x
 
 
-def _generalized_binomial_sign(x: Fraction, k: int) -> int:
-    # sign of x(x-1)...(x-k+1)/k! for non-integral x: count negative factors
-    negatives = sum(1 for i in range(k) if x < i)
-    return -1 if negatives % 2 else 1
-
-
 def two_factor_sign(x1: RationalLike, x2: RationalLike, k: int) -> int:
     """Sign of the level-k multiplicity space of M_{x1} x M_{x2}.
 
@@ -115,7 +111,7 @@ def _two_factor_sign(x1: Fraction, x2: Fraction, k: int) -> int:
     if x1 < 0:  # 0 > x1 > x2
         return -1 if k % 2 else 1
     if x2 < 0 and s < 0:
-        return _generalized_binomial_sign(x1, k)
+        return q_binomial_sign(x1, k)
     if x2 < 0:  # x1 > 0 > x2 with x1 + x2 > 0
         half_up = math.ceil(s / 2)
         half1_up = math.ceil((s + 1) / 2)
@@ -163,7 +159,8 @@ def _pair_representatives(t: ExplicitType) -> tuple[Fraction, Fraction]:
 
 def _merge(levels: dict[int, int], new: Sequence[tuple[int, int]]) -> None:
     for level, sign in new:
-        assert levels.get(level, sign) == sign, f"sign conflict at level {level}"
+        if levels.get(level, sign) != sign:
+            raise InvariantError(f"sign conflict at level {level}")
         levels[level] = sign
 
 
@@ -266,7 +263,8 @@ def representative_weights(
     carry = t.total_floor - sum(t.factor_floors)
     lo = max(carry * denominator + 1, n)
     hi = min((carry + 1) * denominator - 1, n * (denominator - 1))
-    assert lo <= hi, "no fractional parts realize this type"
+    if lo > hi:
+        raise DomainError(f"no fractional parts with denominator {denominator} realize {t}")
     total = rng.randint(lo, hi)
     parts = []
     remaining = total

@@ -305,13 +305,9 @@ def _cmd_bethe(args) -> int:
             "budget": args.budget,
         },
     }
-    if args.json:
-        report["rows"] = rows
-        _print(args, json.dumps(report, sort_keys=True))
-    else:
-        cols = ["m", "dim", "abs_sgn", "n_real", "n_roots_found", "n_roots_real"]
-        slim = [{c: r[c] for c in cols} for r in rows]
-        _emit(report, slim, cols, args)
+    # JSON carries every row field; the text formats show these columns
+    cols = ["m", "dim", "abs_sgn", "n_real", "n_roots_found", "n_roots_real"]
+    _emit(report, rows, cols, args)
     return 1 if failures else 0
 
 

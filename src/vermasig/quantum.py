@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .shapovalov import lex_compositions
 from .sigchar import DomainError, RationalLike, fractionize
 
 
@@ -157,7 +158,7 @@ def multiplicity_signature(
         prefix.append(prefix[-1] + x)
 
     total = 0
-    for comp in _compositions(m, n - 1):
+    for comp in lex_compositions(m, n - 1):
         mk = [0]
         for part in comp:
             mk.append(mk[-1] + part)
@@ -177,15 +178,6 @@ def multiplicity_signature(
                 break
         total += term
     return total
-
-
-def _compositions(m: int, slots: int):
-    if slots == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions(m - first, slots - 1):
-            yield (first,) + rest
 
 
 def crystal_multiplicity(a: Sequence[int], m: int) -> int:

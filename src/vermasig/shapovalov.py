@@ -16,9 +16,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import exact
+from .exact import Matrix, express_in_basis  # express_in_basis is part of this module's API
 from .sigchar import DomainError, GenericityError, RationalLike, ensure_generic
 
-Matrix = list[list[Fraction]]
+
+def lex_compositions(total: int, slots: int):
+    """Compositions of total into slots >= 1 nonnegative parts, in lexicographic order."""
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in lex_compositions(total - first, slots - 1):
+            yield (first,) + rest
 
 
 def compositions(m: int, n: int) -> tuple[tuple[int, ...], ...]:
@@ -29,16 +39,7 @@ def compositions(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """
     if m < 0 or n < 1:
         raise DomainError("need m >= 0 and n >= 1")
-
-    def gen(total: int, slots: int):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in gen(total - first, slots - 1):
-                yield (first,) + rest
-
-    return tuple(sorted(gen(m, n), key=lambda c: c[::-1]))
+    return tuple(sorted(lex_compositions(m, n), key=lambda c: c[::-1]))
 
 
 def shapovalov_norm(lam: RationalLike, k: int) -> Fraction:
@@ -86,49 +87,6 @@ def lowering_matrix(lams: Sequence[Fraction], m: int) -> Matrix:
     return mat
 
 
-def _rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def nullspace(mat: Matrix, ncols: int) -> list[list[Fraction]]:
-    """Exact rational kernel basis (one row per free column of the RREF)."""
-    if not mat:
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    rows, pivots = _rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][f]
-        basis.append(vec)
-    return basis
-
-
 @dataclass(frozen=True)
 class SingularBasis:
     """Exact basis of the weight-(lam - 2m) vectors killed by the raising operator."""
@@ -151,43 +109,13 @@ def singular_basis(lams: Sequence[RationalLike], m: int) -> SingularBasis:
         raise DomainError("level must be nonnegative")
     n = len(lams)
     comps = compositions(m, n)
-    if m == 0:
-        vectors = ((Fraction(1),),)
-        return SingularBasis(lams, m, comps, vectors)
-    basis = nullspace(raising_matrix(lams, m), len(comps))
+    basis = exact.nullspace(raising_matrix(lams, m), len(comps))
     expected = math.comb(m + n - 2, n - 2)
     if len(basis) != expected:
         raise GenericityError(
             f"kernel dimension {len(basis)} != {expected}; weights are degenerate"
         )
     return SingularBasis(lams, m, comps, tuple(tuple(v) for v in basis))
-
-
-def express_in_basis(targets: Sequence[Sequence[Fraction]], basis: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Coefficients C with targets = C * basis, for independent basis rows.
-
-    Solves the transposed systems by one shared RREF; raises if any target
-    row is not in the row span (used to certify operator invariance of the
-    singular subspace).
-    """
-    ncols = len(basis[0])
-    r = len(basis)
-    k = len(targets)
-    augmented = [
-        [basis[u][c] for u in range(r)] + [targets[v][c] for v in range(k)]
-        for c in range(ncols)
-    ]
-    rows, pivots = _rref(augmented)
-    if any(p >= r for p in pivots):
-        raise DomainError("target vectors do not lie in the basis row span")
-    coords = [[Fraction(0)] * r for _ in range(k)]
-    for row_idx, p in enumerate(pivots):
-        for v in range(k):
-            coords[v][p] = rows[row_idx][r + v]
-    for row in rows[len(pivots) :]:
-        if any(row[r:][v] != 0 for v in range(k)):
-            raise DomainError("target vectors do not lie in the basis row span")
-    return coords
 
 
 @dataclass(frozen=True)
@@ -220,24 +148,14 @@ def pair_vectors(
 
 def gram_on_multiplicity(lams: Sequence[RationalLike], m: int) -> GramMatrix:
     """Gram matrix of the induced form on the level-m multiplicity space."""
-    basis = singular_basis(lams, m)
-    diag = weight_space_norms(basis.lams, m)
-    entries = []
-    for u in basis.vectors:
-        row = []
-        for v in basis.vectors:
-            row.append(sum(a * d * b for a, d, b in zip(u, diag, v)))
-        entries.append(tuple(row))
-    gram = GramMatrix(tuple(entries))
-    if _is_singular(gram):
+    return _gram_on_basis(singular_basis(lams, m))
+
+
+def _gram_on_basis(basis: SingularBasis) -> GramMatrix:
+    entries, singular = exact.gram(basis.vectors, weight_space_norms(basis.lams, basis.m))
+    if singular:
         raise GenericityError("induced form is degenerate; weights not generic")
-    return gram
-
-
-def _is_singular(gram: GramMatrix) -> bool:
-    rows = [list(r) for r in gram.entries]
-    _, pivots = _rref(rows)
-    return len(pivots) < gram.size
+    return GramMatrix(tuple(tuple(row) for row in entries))
 
 
 def exact_signature(gram: GramMatrix) -> tuple[int, int]:
@@ -251,56 +169,8 @@ def exact_signature(gram: GramMatrix) -> tuple[int, int]:
     size = len(entries)
     if any(len(row) != size for row in entries):
         raise DomainError("matrix must be square")
-    a = [[Fraction(v) for v in row] for row in entries]
     for i in range(size):
         for j in range(i + 1, size):
-            if a[i][j] != a[j][i]:
+            if entries[i][j] != entries[j][i]:
                 raise DomainError("matrix must be symmetric")
-
-    def swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    pos = neg = 0
-    for i in range(size):
-        if a[i][i] == 0:
-            j = next((j for j in range(i + 1, size) if a[j][j] != 0), None)
-            if j is not None:
-                swap(i, j)
-            else:
-                if all(a[i][c] == 0 for c in range(i, size)):
-                    k = next(
-                        (
-                            k
-                            for k in range(i + 1, size)
-                            if any(a[k][c] != 0 for c in range(i, size))
-                        ),
-                        None,
-                    )
-                    if k is None:
-                        raise DomainError("matrix is singular")
-                    swap(i, k)
-                j = next(j for j in range(i + 1, size) if a[i][j] != 0)
-                # congruence by (row i += row j, col i += col j): new diagonal
-                # entry is 2*a[i][j] since both old diagonals vanish
-                for c in range(size):
-                    a[i][c] += a[j][c]
-                for r in range(size):
-                    a[r][i] += a[r][j]
-        pivot = a[i][i]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        col = [a[r][i] for r in range(size)]
-        for r in range(i + 1, size):
-            if col[r] == 0:
-                continue
-            f = col[r] / pivot
-            for c in range(i, size):
-                a[r][c] -= f * a[i][c]
-        for r in range(i + 1, size):
-            a[r][i] = Fraction(0)
-            a[i][r] = Fraction(0)
-    return pos, neg
+    return exact.inertia(entries)

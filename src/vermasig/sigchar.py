@@ -30,6 +30,10 @@ class DomainError(ValueError):
     """Arguments outside an operation's admissible domain."""
 
 
+class InvariantError(RuntimeError):
+    """A guaranteed identity failed (a bug, not bad input); raised, not asserted, to survive -O."""
+
+
 def fractionize(x: RationalLike) -> Fraction:
     """Coerce ints, strings like ``"-7/10"``, and Fractions to Fraction."""
     if isinstance(x, Fraction):
@@ -225,10 +229,11 @@ def peel_decompose(lams: Sequence[RationalLike], depth: int) -> Decomposition:
     for m in range(depth + 1):
         pos, neg = rem[m]
         expected = math.comb(m + n - 2, n - 2)
-        assert pos >= 0 and neg >= 0 and pos + neg == expected, (
-            f"peeling invariant broken at level {m}: ({pos}, {neg}) "
-            f"should be nonnegative with sum {expected}"
-        )
+        if not (pos >= 0 and neg >= 0 and pos + neg == expected):
+            raise InvariantError(
+                f"peeling invariant broken at level {m}: ({pos}, {neg}) "
+                f"should be nonnegative with sum {expected}"
+            )
         beta = verma_character(total - 2 * m, depth - m)
         for k, (c, d) in enumerate(beta.coeffs):
             p, t = rem[m + k]
@@ -250,9 +255,10 @@ def _binom_poly(x: int, r: int) -> int:
     num = 1
     for j in range(r):
         num *= x - j
-    fact = math.factorial(r)
-    assert num % fact == 0
-    return num // fact
+    quotient, remainder = divmod(num, math.factorial(r))
+    if remainder:
+        raise InvariantError(f"x(x-1)...(x-{r - 1}) with x = {x} is not divisible by {r}!")
+    return quotient
 
 
 def asymptotic_signature(lams: Sequence[RationalLike], m: int) -> int:

@@ -31,13 +31,14 @@ from vermasig import (
 )
 from vermasig.bethe import (
     bethe_vector,
-    bethe_vector_closed_form,
     hamiltonian_eigenvalue,
     hamiltonian_matrices,
     raising_residual,
 )
 from vermasig.classify import consistent_types, definite_levels_of, representative_weights
 from vermasig.sigchar import is_generic
+
+from bethe_reference import bethe_vector_closed_form
 
 
 def random_generic_tuple(rng, n, denoms, span):
@@ -78,9 +79,16 @@ def test_criterion_2_gram_oracle_equivalence():
         entry = peel_decompose(lams, m).entry(m)
         inertia = exact_signature(gram_on_multiplicity(lams, m))
         assert inertia == (entry.pos, entry.neg), (lams, m)
+    rng = random.Random(5097)
+    for _ in range(20):
+        lams = random_generic_tuple(rng, 5, denoms=(2, 3, 5, 7, 97), span=200)
+        m = rng.randint(1, 4)
+        entry = peel_decompose(lams, m).entry(m)
+        inertia = exact_signature(gram_on_multiplicity(lams, m))
+        assert inertia == (entry.pos, entry.neg), (lams, m)
     elapsed = time.time() - start
     assert elapsed < 300
-    report(2, "Shapovalov Gram inertia = peeling", f"200 tuples, {elapsed:.1f}s")
+    report(2, "Shapovalov Gram inertia = peeling", f"200 tuples n<=4 + 20 tuples n=5, {elapsed:.1f}s")
 
 
 def test_criterion_3_signature_formula_at_q1():

@@ -18,13 +18,14 @@ from vermasig import (
     zy_commutator_check,
 )
 from vermasig.bethe import (
-    bethe_vector_closed_form,
     hamiltonian_eigenvalue,
     hamiltonian_matrices,
     highest_vector_eigenvalue,
     raising_residual,
 )
 from vermasig.sigchar import is_generic
+
+from bethe_reference import bethe_vector_closed_form
 
 
 def random_config(rng, n=3, m_max=3, span=30):

@@ -137,6 +137,9 @@ def test_representative_weights_realize_type():
         for _ in range(5):
             lams = representative_weights(t, rng)
             assert explicit_type_of(lams) == t
+    # with denominator 2 every fractional part is 1/2, and five of them carry 2, not 0
+    with pytest.raises(DomainError):
+        representative_weights(ExplicitType(0, (0, 0, 0, 0, 0)), rng, denominator=2)
 
 
 @pytest.mark.parametrize(
