@@ -1,4 +1,4 @@
-"""Real critical points of master functions, counted two independent ways.
+"""Real critical points of master functions, from the Gaudin spectrum.
 
 Run: python demos/05_bethe_critical_points.py
 """
@@ -19,7 +19,7 @@ cfg = MasterConfig((F(0), F(1), F(3)), (F(23, 10), F(17, 10), F(-2, 5)), 2)
 print(f"Instance: z = {tuple(str(v) for v in cfg.z)}, weights = "
       f"{tuple(str(w) for w in cfg.weights)}, m = {cfg.m}, dim E_m = {cfg.dim}")
 
-print("\nMultistart Newton + weight continuation on the critical equations:")
+print("\nCritical points from the Gaudin joint eigenvalues (one Heine-Stieltjes solve each):")
 points = find_critical_points(cfg, seed=7)
 for p in points:
     roots = np.round(np.roots(np.array(p.qpoly)), 5)

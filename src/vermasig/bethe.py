@@ -3,16 +3,18 @@
 The master function prod_{i<j}(t_i-t_j)^2 * prod_{i,k}|t_i-z_k|^{-lam_k} has
 critical points given by the rational system
 
-    sum_{j != i} 2/(t_i - t_j) = sum_k lam_k/(t_i - z_k),
+    sum_{j != i} 2/(t_i - t_j) = sum_k lam_k/(t_i - z_k).
 
-which we solve by multistart Newton iteration over the complex numbers.  Each
-critical point, encoded by the monic polynomial Q with the t_i as roots, spans
-a joint eigenspace of the commuting Gaudin Hamiltonians on the level-m
-multiplicity space, and the point is real (Q has real coefficients) exactly
-when its joint eigenvalue tuple is real.  Counting real joint eigenvalues of
-the exactly-constructed Hamiltonians is therefore an independent, search-free
-route to the number of real critical points, and the multiplicity-space
-signature from character peeling bounds that number from below.
+Each critical point, encoded by the monic polynomial Q with the t_i as
+roots, spans a joint eigenspace of the commuting Gaudin Hamiltonians on the
+level-m multiplicity space, and the point is real (Q has real coefficients)
+exactly when its joint eigenvalue tuple is real.  The Hamiltonians are built
+exactly, and a random integer combination of them (seeded by ``seed``) is
+diagonalized to read off the joint tuples.  Counting the real ones counts the
+real critical points; each tuple also fixes its critical point through a
+Heine-Stieltjes equation for Q, solved by one linear solve and a Newton
+polish, so finding the points needs no search.  The multiplicity-space
+signature from character peeling bounds the real count from below.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .shapovalov import (
     _gram_on_basis,
     compositions,
     express_in_basis,
-    lex_compositions,
     raising_matrix,
     singular_basis,
 )
@@ -187,11 +188,6 @@ def _is_real_poly(coeffs: np.ndarray, tol: float) -> bool:
     return bool(np.all(np.abs(coeffs.imag) < tol * (1.0 + np.abs(coeffs))))
 
 
-def _escape_radius(cfg: MasterConfig) -> float:
-    zs = [abs(float(v)) for v in cfg.z]
-    return 1e4 * (1.0 + max(zs))
-
-
 def _too_close(cfg: MasterConfig, t: np.ndarray) -> bool:
     scale = 1.0 + float(np.max(np.abs(t)))
     z = np.array([complex(v) for v in cfg.z])
@@ -204,261 +200,59 @@ def _too_close(cfg: MasterConfig, t: np.ndarray) -> bool:
     return False
 
 
-def _newton(
-    cfg: MasterConfig,
-    start: np.ndarray,
-    tol: float,
-    iters: int = 120,
-    lam: np.ndarray | None = None,
-) -> np.ndarray | None:
-    # Guarded Newton: undamped steps flow to infinity (the equations vanish
-    # there), so a step is only accepted if it shrinks the residual; diverging
-    # iterates are additionally cut off far beyond where genuine critical
-    # points of fixed data can live.
-    radius = _escape_radius(cfg)
-    t = start.astype(complex)
-    if _too_close(cfg, t):
-        return None
-    g = _bethe_equations(cfg, t, lam)
-    res = float(np.max(np.abs(g)))
-    for _ in range(iters):
-        if not np.isfinite(res):
-            return None
-        if res < tol:
-            return t
-        if np.max(np.abs(t)) > radius:
-            return None
-        try:
-            step = np.linalg.solve(_bethe_jacobian(cfg, t, lam), -g)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        alpha = 1.0
-        for _ in range(30):
-            t_new = t + alpha * step
-            if not _too_close(cfg, t_new):
-                g_new = _bethe_equations(cfg, t_new, lam)
-                res_new = float(np.max(np.abs(g_new)))
-                if np.isfinite(res_new) and res_new < res * (1.0 - 0.25 * alpha):
-                    break
-            alpha *= 0.5
-        else:
-            return None
-        t, g, res = t_new, g_new, res_new
-    return None
-
-
-def _starts(cfg: MasterConfig, rng: np.random.Generator):
-    """Endless stream of Newton starts mixing three templates.
-
-    Real iterates stay real, so each solution flavor gets its own template:
-    purely real gap-occupancy starts for all-real-root points (occupancy
-    patterns of the bounded gaps biject with the generic point count),
-    conjugate-pair starts for real polynomials with complex roots, and free
-    complex clouds for the rest.
-    """
-    m = cfg.m
-    zs = sorted(float(v) for v in cfg.z)
-    spread = max(zs[-1] - zs[0], 1.0)
-    lo, hi = zs[0] - 0.8 * spread, zs[-1] + 0.8 * spread
-    center = 0.5 * (zs[0] + zs[-1])
-    gaps = [(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
-    gaps += [(lo, zs[0]), (zs[-1], hi)]
-
-    def fill_gap(gap: tuple[float, float], count: int) -> list[float]:
-        a, b = gap
-        return [
-            a + (b - a) * (i + 0.5 + 0.35 * rng.uniform(-1, 1)) / count
-            for i in range(count)
-        ]
-
-    occupancies = list(lex_compositions(m, len(gaps)))
-    pair_splits = [(m - 2 * c, c) for c in range(1, m // 2 + 1)]
-    while True:
-        for occ in occupancies:
-            t = []
-            for gap, count in zip(gaps, occ):
-                if count:
-                    t.extend(fill_gap(gap, count))
-            yield np.array(t, dtype=complex)
-        for r, c in pair_splits:
-            t = [rng.uniform(lo, hi) + 0j for _ in range(r)]
-            for _ in range(c):
-                x = rng.uniform(lo, hi)
-                y = rng.uniform(0.1, 1.2) * spread
-                t.extend([x + 1j * y, x - 1j * y])
-            yield np.array(t, dtype=complex)
-        for scale in (0.5, 1.5, 4.0):
-            yield center + scale * spread * (
-                rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            )
-
-
 def find_critical_points(
     cfg: MasterConfig,
-    attempts: int | None = None,
     tol: float = 1e-10,
     seed: int = 0,
     real_tol: float = 1e-7,
 ) -> list[CriticalPoint]:
-    """Find all critical points, deduplicated by the polynomial Q.
+    """All critical points, one per joint eigenvector of the Gaudin Hamiltonians.
 
-    Two phases.  Multistart guarded Newton runs first; if it has not
-    exhausted the known count dim = binom(m+n-2, n-2) within its attempt
-    budget, a continuation phase shifts every positive weight down by an even
-    integer (where all critical points are real, one per occupancy pattern of
-    the bounded gaps between the z's) and tracks each point back to the
-    requested weights along a complex-detour path.  Finding fewer than dim
-    points is reported by the shorter list, not an exception.
+    By the Bethe equations, Q = prod(x - t_i) solves the Heine-Stieltjes
+    equation P0 Q'' - P1 Q' + R Q = 0 with P0 = prod_k (x - z_k),
+    P1 = P0 sum_k lam_k/(x - z_k) and deg R = n - 2.  The point's joint
+    eigenvalue tuple mu fixes R: R(z_k) = P0'(z_k) (c_k - mu_k), where c_k is
+    the highest-vector eigenvalue, and R has leading coefficient
+    m sum(lam) - m(m-1).  Each joint tuple from count_real_by_spectrum (seed
+    seeds its random Hamiltonian combination) thus gives Q by one
+    least-squares solve, and Newton polishing finishes its roots.  A point is
+    dropped when its polished residual exceeds tol or it repeats a point
+    already found, so a list shorter than dim means a point failed a check.
     """
     cfg.require_generic()
-    budget = 200 * cfg.dim if attempts is None else attempts
-    rng = np.random.default_rng(seed)
+    _, witnesses = count_real_by_spectrum(cfg, seed=seed)
+    n, m = cfg.n, cfg.m
+    lam = _lam_array(cfg)
+    z = _z_array(cfg).real
+    c = np.array([float(highest_vector_eigenvalue(cfg, k)) for k in range(n)])
+    # coefficients lowest degree first; cofactors[k] = P0/(x - z_k)
+    p0 = np.poly(z)[::-1]
+    cofactors = np.array([np.poly(np.delete(z, k))[::-1] for k in range(n)])
+    p1 = lam @ cofactors
     points: list[CriticalPoint] = []
-
-    def record(t: np.ndarray) -> None:
-        t, residual = _polish(cfg, t)
-        if residual > tol:
-            return
+    for witness in witnesses:
+        # Lagrange form through the values R(z_k); its x^(n-1) coefficient
+        # sum(c - mu) vanishes, and the next one is known exactly
+        r = ((c - np.array(witness.joint)) @ cofactors)[:-1]
+        r[-1] = m * lam.sum() - m * (m - 1)
+        # column j holds P0 (x^j)'' - P1 (x^j)' + R x^j
+        op = np.zeros((n + m - 1, m + 1), dtype=complex)
+        for j in range(m + 1):
+            for poly, shift, factor in ((p0, 2, j * (j - 1)), (p1, 1, -j), (r, 0, 1)):
+                if j >= shift:
+                    op[j - shift : j - shift + len(poly), j] += factor * poly
+        lower = np.linalg.lstsq(op[:, :m], -op[:, m], rcond=None)[0]
+        t, residual = _polish(cfg, np.roots(np.concatenate(([1.0], lower[::-1]))))
+        if not residual <= tol:
+            continue
         qpoly = np.atleast_1d(np.poly(t))
-        for p in points:
-            if np.max(np.abs(qpoly - np.array(p.qpoly))) < 1e-6 * (1.0 + np.max(np.abs(qpoly))):
-                return
+        scale = 1e-6 * (1.0 + np.max(np.abs(qpoly)))
+        if any(np.max(np.abs(qpoly - np.array(p.qpoly))) < scale for p in points):
+            continue
         points.append(
             CriticalPoint(tuple(qpoly.tolist()), residual, _is_real_poly(qpoly, real_tol))
         )
-        # the data are real, so the conjugate tuple is a critical point too
-        record(np.conj(t))
-
-    first_pass = min(budget, 40 * cfg.dim)
-    for start in itertools.islice(_starts(cfg, rng), first_pass):
-        t = _newton(cfg, start, tol)
-        if t is not None:
-            record(t)
-        if len(points) == cfg.dim:
-            return points
-
-    # which detour geometry keeps every track separated is instance-specific,
-    # so retry rounds vary the scale until the count is exhausted
-    for detour_scale in (1.0, 0.5, 2.0, 1.5, 3.0, 0.75, 2.5, 1.25):
-        for t in _continuation_points(cfg, tol, rng, detour_scale):
-            record(t)
-        if len(points) == cfg.dim:
-            return points
-
-    for start in itertools.islice(_starts(cfg, rng), budget - first_pass):
-        t = _newton(cfg, start, tol)
-        if t is not None:
-            record(t)
-        if len(points) == cfg.dim:
-            break
     return points
-
-
-def _all_negative_points(
-    cfg: MasterConfig, lam: np.ndarray, tol: float, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """All critical points for strictly negative weights: the master function
-    vanishes on the boundary of every bounded cell of the real arrangement,
-    so each occupancy of the n-1 bounded gaps holds exactly one (real) point.
-
-    Weights of small magnitude push the cell maximum into a thin boundary
-    layer where mid-gap Newton basins are tiny, so the occupancy system is
-    first solved with every weight lowered by 2 and each point is then
-    tracked back along a real path; inside the all-negative chamber the
-    points stay in their cells, so the real path is degeneration-free.
-    """
-    zs = sorted(float(v) for v in cfg.z)
-    gaps = [(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
-    lam_base = lam - 2.0
-    found: list[np.ndarray] = []
-    for occ in lex_compositions(cfg.m, len(gaps)):
-        for attempt in range(20):
-            start = []
-            for (a, b), count in zip(gaps, occ):
-                width = b - a
-                for i in range(count):
-                    u = (i + 1) / (count + 1) + (0.3 / (count + 1)) * rng.uniform(-1, 1)
-                    start.append(a + width * u)
-            t = _newton(cfg, np.array(start, dtype=complex), tol, lam=lam_base)
-            if t is not None and np.max(np.abs(t.imag)) < 1e-6:
-                t = _track_path(cfg, t, lambda s: lam_base + s * (lam - lam_base), tol)
-                if t is not None:
-                    found.append(t)
-                    break
-    deduped: list[np.ndarray] = []
-    for t in found:
-        q = np.poly(t)
-        if all(
-            np.max(np.abs(q - np.poly(s))) > 1e-6 * (1.0 + np.max(np.abs(q)))
-            for s in deduped
-        ):
-            deduped.append(t)
-    return deduped
-
-
-def _track_path(cfg: MasterConfig, t: np.ndarray, lam_at, tol: float) -> np.ndarray | None:
-    """Follow one critical point along a weight path lam_at: [0, 1] -> C^n.
-
-    Adaptive stepping; a Newton correction jumping further than the step size
-    warrants is treated as a basin hop and retried shorter.  Returns None for
-    tracks that cannot be continued.
-    """
-    s, ds = 0.0, 1.0 / 8.0
-    while s < 1.0:
-        target = min(1.0, s + ds)
-        t_next = _newton(cfg, t, max(tol, 1e-12), iters=60, lam=lam_at(target))
-        hop = t_next is not None and float(np.max(np.abs(t_next - t))) > max(
-            0.5, 60.0 * ds
-        ) * (1.0 + float(np.max(np.abs(t))))
-        if t_next is None or hop:
-            ds *= 0.5
-            if ds < 1.0 / 4096.0:
-                return None
-        else:
-            t, s = t_next, target
-            ds = min(ds * 1.5, 1.0 / 8.0)
-    return t
-
-
-def _continuation_points(
-    cfg: MasterConfig, tol: float, rng: np.random.Generator, detour_scale: float = 1.0
-) -> list[np.ndarray]:
-    """Track critical points from the all-negative weight chamber to cfg.weights.
-
-    The path interpolates the even-integer weight shift and takes an
-    imaginary detour (vanishing at both ends) so it stays away from the real
-    weight values where Bethe roots degenerate.  A step whose Newton
-    correction jumps further than the step size warrants is treated as a
-    basin hop and retried shorter; tracks that cannot be continued are
-    dropped.
-    """
-    lam_end = _lam_array(cfg)
-    shift = np.array([2 * max(0, math.ceil(w)) for w in cfg.weights], dtype=float)
-    lam_start = lam_end - shift
-    tracks = _all_negative_points(cfg, lam_start.astype(complex), tol, rng)
-    if not np.any(shift):
-        return tracks
-    detour = rng.standard_normal(cfg.n)
-    detour *= (
-        detour_scale
-        * max(1.0, float(np.max(np.abs(shift))))
-        / max(np.max(np.abs(detour)), 1e-9)
-    )
-
-    def lam_at(s: float) -> np.ndarray:
-        return lam_start + s * shift + 1j * math.sin(math.pi * s) * detour
-
-    finished = []
-    for t in tracks:
-        t_end = _track_path(cfg, t, lam_at, tol)
-        if t_end is None:
-            continue
-        t_final = _newton(cfg, t_end, tol, iters=60)
-        if t_final is not None:
-            finished.append(t_final)
-    return finished
 
 
 def _polish(cfg: MasterConfig, t: np.ndarray, rounds: int = 4) -> tuple[np.ndarray, float]:
@@ -654,14 +448,14 @@ def count_real_by_spectrum(
     last_gap = None
     for _ in range(retries):
         combo = [rng.randint(1, 10**6) for _ in range(cfg.n)]
-        exact = [
+        combined = [
             [
                 sum(combo[i] * system.matrices[i][u][w] for i in range(cfg.n))
                 for w in range(r)
             ]
             for u in range(r)
         ]
-        mat = np.array([[float(v) for v in row] for row in exact])
+        mat = np.array([[float(v) for v in row] for row in combined])
         evals, evecs = np.linalg.eig(mat)
         scale = max(1.0, float(np.max(np.abs(evals))))
         if r == 1:

@@ -246,11 +246,11 @@ def _parse_sweep(expr: str) -> list[int]:
         raise UsageError(f"bad --sweep {expr!r}: {exc}") from None
 
 
-def _bethe_level_row(weights, z, m, seed, budget):
+def _bethe_level_row(weights, z, m, seed):
     """One sweep instance; module-level so process pools can run it."""
     cfg = MasterConfig(tuple(z), tuple(weights), m)
     report_m = bound_check(cfg, seed=seed)
-    points = find_critical_points(cfg, attempts=budget, seed=seed)
+    points = find_critical_points(cfg, seed=seed)
     return {
         "m": m,
         "dim": report_m.dim,
@@ -279,7 +279,7 @@ def _cmd_bethe(args) -> int:
         raise UsageError("give -m or --sweep")
     for m in levels:
         MasterConfig(tuple(z), tuple(weights), m).require_generic()
-    jobs = [(weights, z, m, args.seed + idx, args.budget) for idx, m in enumerate(levels)]
+    jobs = [(weights, z, m, args.seed + idx) for idx, m in enumerate(levels)]
     threads = args.threads if args.threads else _default_threads()
     rows = []
     failures = 0
@@ -302,7 +302,6 @@ def _cmd_bethe(args) -> int:
             "z": [_rat_str(v) for v in z],
             "levels": levels,
             "seed": args.seed,
-            "budget": args.budget,
         },
     }
     # JSON carries every row field; the text formats show these columns
@@ -359,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int)
     p.add_argument("--sweep", help="level range, e.g. m=1..3")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, help="Newton attempt budget")
     p.add_argument(
         "--threads",
         type=int,

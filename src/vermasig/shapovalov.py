@@ -129,13 +129,11 @@ class GramMatrix:
 
 def weight_space_norms(lams: Sequence[Fraction], m: int) -> list[Fraction]:
     """Diagonal of the product form on the level-m composition basis."""
-    diag = []
-    for comp in compositions(m, len(lams)):
-        value = Fraction(1)
-        for lam, k in zip(lams, comp):
-            value *= shapovalov_norm(lam, k)
-        diag.append(value)
-    return diag
+    table = [[shapovalov_norm(lam, k) for k in range(m + 1)] for lam in lams]
+    return [
+        math.prod((row[k] for row, k in zip(table, comp)), start=Fraction(1))
+        for comp in compositions(m, len(lams))
+    ]
 
 
 def pair_vectors(

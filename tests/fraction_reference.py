@@ -2,8 +2,9 @@
 
 This is the elimination the library used before its integer core: plain
 Gauss-Jordan and congruence diagonalization on ``fractions.Fraction``
-entries, and Gram entries as sums of Fraction products.  The tests require
-the integer core to return exactly these values.
+entries, Gram entries as sums of Fraction products, and the diagonal of the
+product form with each factor norm multiplied out per composition.  The tests
+require the library to return exactly these values.
 """
 
 from __future__ import annotations
@@ -73,6 +74,18 @@ def express_in_basis(targets, basis):
         if any(row[r:][v] != 0 for v in range(k)):
             return None
     return coords
+
+
+def weight_space_norms(lams, comps):
+    """prod_i prod_{j=1}^{k_i} j*(lam_i - j + 1) for each composition k in comps."""
+    diag = []
+    for comp in comps:
+        value = Fraction(1)
+        for lam, k in zip(lams, comp):
+            for j in range(1, k + 1):
+                value *= j * (lam - j + 1)
+        diag.append(value)
+    return diag
 
 
 def gram(vectors, diag):

@@ -38,7 +38,7 @@ from vermasig.bethe import (
 from vermasig.classify import consistent_types, definite_levels_of, representative_weights
 from vermasig.sigchar import is_generic
 
-from bethe_reference import bethe_vector_closed_form
+from bethe_reference import bethe_vector_closed_form, search_critical_points
 
 
 def random_generic_tuple(rng, n, denoms, span):
@@ -170,11 +170,12 @@ def test_criterion_5_gaudin_bethe_structure():
             image = hmats[i] @ b
             assert np.linalg.norm(image - mu * b) <= 1e-8 * np.linalg.norm(image)
 
-    # two independent pipelines agree on 20 random instances, and the
-    # eigenvector relations hold at every converged point of each
+    # two independent pipelines agree on 20 random instances (the reference
+    # search takes no input from the spectrum), and the eigenvector relations
+    # hold at every converged point of each
     points_checked = 0
     for cfg, seed in _criterion5_instances():
-        pts = find_critical_points(cfg, seed=seed)
+        pts = search_critical_points(cfg, seed=seed)
         n_real, _ = count_real_by_spectrum(cfg, seed=seed)
         assert len(pts) == cfg.dim, (cfg, len(pts))
         assert n_real == sum(1 for p in pts if p.is_real), (cfg, n_real)

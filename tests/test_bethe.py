@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -25,7 +26,8 @@ from vermasig.bethe import (
 )
 from vermasig.sigchar import is_generic
 
-from bethe_reference import bethe_vector_closed_form
+from bethe_reference import bethe_vector_closed_form, search_critical_points
+from test_acceptance import _criterion5_instances
 
 
 def random_config(rng, n=3, m_max=3, span=30):
@@ -179,7 +181,7 @@ def test_spectrum_matches_root_search():
     rng = random.Random(29)
     for trial in range(8):
         cfg = random_config(rng, m_max=3)
-        pts = find_critical_points(cfg, seed=50 + trial)
+        pts = search_critical_points(cfg, seed=50 + trial)
         n_real, _ = count_real_by_spectrum(cfg, seed=50 + trial)
         assert len(pts) == cfg.dim
         assert n_real == sum(1 for p in pts if p.is_real)
@@ -188,7 +190,7 @@ def test_spectrum_matches_root_search():
 def test_reality_flag_matches_joint_eigenvalue():
     rng = random.Random(31)
     cfg = random_config(rng, m_max=3)
-    pts = find_critical_points(cfg, seed=8)
+    pts = search_critical_points(cfg, seed=8)
     n_real, witnesses = count_real_by_spectrum(cfg, seed=8)
     # match each found point to its witness through the joint eigenvalues
     for p in pts:
@@ -198,6 +200,27 @@ def test_reality_flag_matches_joint_eigenvalue():
         )
         assert float(np.max(np.abs(np.array(best.joint) - mus))) < 1e-6
         assert best.is_real == p.is_real
+
+
+def test_spectral_points_match_reference_search():
+    # the criterion-5 instances plus a few with n = 4, 5: the points from the
+    # spectrum and from the independent search match one to one
+    rng = random.Random(4242)
+    larger = [
+        (replace(random_config(rng, n=n, m_max=1), m=m), 7)
+        for n, m in ((4, 1), (4, 2), (4, 2), (5, 2))
+    ]
+    for cfg, seed in _criterion5_instances() + larger:
+        spectral = find_critical_points(cfg, seed=seed)
+        reference = search_critical_points(cfg, seed=seed)
+        assert len(spectral) == len(reference) == cfg.dim, cfg
+        for p in reference:
+            q = np.array(p.qpoly)
+            scale = float(np.max(np.abs(q)))
+            dist = [float(np.max(np.abs(np.array(s.qpoly) - q))) / scale for s in spectral]
+            k = int(np.argmin(dist))
+            assert dist[k] < 1e-8, (cfg, dist[k])
+            assert spectral.pop(k).is_real == p.is_real, cfg
 
 
 def test_bound_check_cases():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from vermasig.cli import main
 
 
@@ -142,6 +144,26 @@ def test_bethe_deterministic_given_seed(capsys):
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "weights, z, m, seed",
+    [
+        ("29/11,2/11,-11/10", "-7/2,-8/3,3", "4", "711992"),
+        ("-4,2/13,-27/11,16/7", "-6,0,4/3,-4", "2", "392794"),
+        ("-13/7,-19/11,28/11,23/11", "0,-2,-5/3,-8", "3", "308938"),
+    ],
+)
+def test_bethe_finds_every_point(capsys, weights, z, m, seed):
+    # inputs on which a multistart/continuation search fell short of dim
+    code, out, _ = run(
+        capsys,
+        ["bethe", "--weights", weights, "--z", z, "-m", m, "--seed", seed, "--json"],
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["n_roots_found"] == row["dim"]
+    assert row["n_roots_real"] == row["n_real"]
 
 
 def test_usage_error_on_unknown_subcommand(capsys):

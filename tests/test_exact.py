@@ -183,7 +183,9 @@ def test_oracle_matches_reference_on_criterion2_instances():
             continue
         want = ref.nullspace(raising_matrix(basis.lams, m), len(compositions(m, len(lams))))
         assert [list(v) for v in basis.vectors] == want, (lams, m)
-        want_gram = ref.gram(want, weight_space_norms(basis.lams, m))
+        diag = ref.weight_space_norms(basis.lams, compositions(m, len(lams)))
+        assert weight_space_norms(basis.lams, m) == diag, (lams, m)
+        want_gram = ref.gram(want, diag)
         assert [list(row) for row in gram.entries] == want_gram, (lams, m)
 
 
