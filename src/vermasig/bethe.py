@@ -49,6 +49,15 @@ from .shapovalov import (
 )
 
 
+# a joint tuple, and a polished Q, is real when every imaginary part is at
+# most REAL_TOL relative to its magnitude
+REAL_TOL = 1e-7
+# a critical point is kept only if its polished Bethe residual is at most this
+RESIDUAL_TOL = 1e-10
+# fresh random combinations tried before a degenerate spectrum is an error
+SPECTRUM_RETRIES = 6
+
+
 class FalsificationError(RuntimeError):
     """A proved inequality failed numerically; carries full reproduction data."""
 
@@ -201,26 +210,26 @@ def _too_close(cfg: MasterConfig, t: np.ndarray) -> bool:
 
 
 def find_critical_points(
-    cfg: MasterConfig,
-    tol: float = 1e-10,
-    seed: int = 0,
-    real_tol: float = 1e-7,
+    cfg: MasterConfig, witnesses: Sequence[SpectrumWitness]
 ) -> list[CriticalPoint]:
     """All critical points, one per joint eigenvector of the Gaudin Hamiltonians.
 
-    By the Bethe equations, Q = prod(x - t_i) solves the Heine-Stieltjes
-    equation P0 Q'' - P1 Q' + R Q = 0 with P0 = prod_k (x - z_k),
-    P1 = P0 sum_k lam_k/(x - z_k) and deg R = n - 2.  The point's joint
-    eigenvalue tuple mu fixes R: R(z_k) = P0'(z_k) (c_k - mu_k), where c_k is
-    the highest-vector eigenvalue, and R has leading coefficient
-    m sum(lam) - m(m-1).  Each joint tuple from count_real_by_spectrum (seed
-    seeds its random Hamiltonian combination) thus gives Q by one
-    least-squares solve, and Newton polishing finishes its roots.  A point is
-    dropped when its polished residual exceeds tol or it repeats a point
-    already found, so a list shorter than dim means a point failed a check.
+    ``witnesses`` is the spectrum of cfg, as count_real_by_spectrum or
+    bound_check returns it.  By the Bethe equations, Q = prod(x - t_i) solves
+    the Heine-Stieltjes equation P0 Q'' - P1 Q' + R Q = 0 with
+    P0 = prod_k (x - z_k), P1 = P0 sum_k lam_k/(x - z_k) and deg R = n - 2.
+    The point's joint eigenvalue tuple mu fixes R: R(z_k) = P0'(z_k) (c_k - mu_k),
+    where c_k is the highest-vector eigenvalue, and R has leading coefficient
+    m sum(lam) - m(m-1).  Each witness thus gives Q by one least-squares
+    solve, and Newton polishing finishes its roots.  A point is dropped when
+    its polished residual exceeds RESIDUAL_TOL or it repeats a point already
+    found, so a list shorter than dim means a point failed a check.
     """
-    cfg.require_generic()
-    _, witnesses = count_real_by_spectrum(cfg, seed=seed)
+    if len(witnesses) != cfg.dim or any(len(w.joint) != cfg.n for w in witnesses):
+        raise DomainError(
+            f"witnesses are not the spectrum of this config: need {cfg.dim} "
+            f"joint tuples of length {cfg.n}"
+        )
     n, m = cfg.n, cfg.m
     lam = _lam_array(cfg)
     z = _z_array(cfg).real
@@ -243,14 +252,14 @@ def find_critical_points(
                     op[j - shift : j - shift + len(poly), j] += factor * poly
         lower = np.linalg.lstsq(op[:, :m], -op[:, m], rcond=None)[0]
         t, residual = _polish(cfg, np.roots(np.concatenate(([1.0], lower[::-1]))))
-        if not residual <= tol:
+        if not residual <= RESIDUAL_TOL:
             continue
         qpoly = np.atleast_1d(np.poly(t))
         scale = 1e-6 * (1.0 + np.max(np.abs(qpoly)))
         if any(np.max(np.abs(qpoly - np.array(p.qpoly))) < scale for p in points):
             continue
         points.append(
-            CriticalPoint(tuple(qpoly.tolist()), residual, _is_real_poly(qpoly, real_tol))
+            CriticalPoint(tuple(qpoly.tolist()), residual, _is_real_poly(qpoly, REAL_TOL))
         )
     return points
 
@@ -429,10 +438,7 @@ class SpectrumWitness:
 
 
 def count_real_by_spectrum(
-    cfg: MasterConfig,
-    tol: float = 1e-7,
-    seed: int = 0,
-    retries: int = 6,
+    cfg: MasterConfig, seed: int = 0
 ) -> tuple[int, list[SpectrumWitness]]:
     """Count joint eigenvectors of the Hamiltonians with real joint eigenvalue.
 
@@ -446,7 +452,7 @@ def count_real_by_spectrum(
     r = system.basis.dim
     rng = random.Random(seed)
     last_gap = None
-    for _ in range(retries):
+    for _ in range(SPECTRUM_RETRIES):
         combo = [rng.randint(1, 10**6) for _ in range(cfg.n)]
         combined = [
             [
@@ -477,7 +483,7 @@ def count_real_by_spectrum(
         denom = complex(np.vdot(w, w))
         joint = tuple(complex(np.vdot(w, h @ w) / denom) for h in floats)
         max_imag = max(abs(mu.imag) for mu in joint)
-        is_real = all(abs(mu.imag) <= tol * (1.0 + abs(mu)) for mu in joint)
+        is_real = all(abs(mu.imag) <= REAL_TOL * (1.0 + abs(mu)) for mu in joint)
         witnesses.append(SpectrumWitness(joint, is_real, max_imag))
     return sum(1 for w in witnesses if w.is_real), witnesses
 
@@ -495,16 +501,16 @@ class BoundReport:
         return abs(self.signature) <= self.n_real <= self.dim
 
 
-def bound_check(cfg: MasterConfig, tol: float = 1e-7, seed: int = 0) -> BoundReport:
+def bound_check(cfg: MasterConfig, seed: int = 0) -> BoundReport:
     """Signature lower bound |sgn| <= N <= dim, with N from spectrum counting."""
     dec = peel_decompose(cfg.weights, cfg.m)
     signature = dec.entry(cfg.m).signature
-    n_real, witnesses = count_real_by_spectrum(cfg, tol=tol, seed=seed)
+    n_real, witnesses = count_real_by_spectrum(cfg, seed=seed)
     report = BoundReport(cfg, cfg.dim, signature, n_real, tuple(witnesses))
     if not report.satisfies:
         raise FalsificationError(
             f"bound violated: |{signature}| <= {n_real} <= {cfg.dim} is false "
-            f"for z={cfg.z}, weights={cfg.weights}, m={cfg.m}, seed={seed}, tol={tol}"
+            f"for z={cfg.z}, weights={cfg.weights}, m={cfg.m}, seed={seed}, tol={REAL_TOL}"
         )
     return report
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import re
 import sys
@@ -62,13 +61,6 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _rat_str(x: Fraction) -> str:
     return str(Fraction(x))
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("VERMASIG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _print(args, text: str) -> None:
@@ -250,7 +242,7 @@ def _bethe_level_row(weights, z, m, seed):
     """One sweep instance; module-level so process pools can run it."""
     cfg = MasterConfig(tuple(z), tuple(weights), m)
     report_m = bound_check(cfg, seed=seed)
-    points = find_critical_points(cfg, seed=seed)
+    points = find_critical_points(cfg, report_m.witnesses)
     return {
         "m": m,
         "dim": report_m.dim,
@@ -272,6 +264,8 @@ def _bethe_level_row(weights, z, m, seed):
 
 
 def _cmd_bethe(args) -> int:
+    if args.threads < 1:
+        raise UsageError("--threads must be at least 1")
     weights = _parse_rational_list(args.weights)
     z = _parse_rational_list(args.z)
     levels = _parse_sweep(args.sweep) if args.sweep else [args.m]
@@ -280,11 +274,12 @@ def _cmd_bethe(args) -> int:
     for m in levels:
         MasterConfig(tuple(z), tuple(weights), m).require_generic()
     jobs = [(weights, z, m, args.seed + idx) for idx, m in enumerate(levels)]
-    threads = args.threads if args.threads else _default_threads()
+    # the pool starts all its workers at once, so never more than there are jobs
+    workers = min(args.threads, len(jobs))
     rows = []
     failures = 0
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_bethe_level_job, jobs)
     else:
         results = map(_bethe_level_job, jobs)
@@ -358,12 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int)
     p.add_argument("--sweep", help="level range, e.g. m=1..3")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="sweep workers (default: VERMASIG_THREADS or 1)",
-    )
+    p.add_argument("--threads", type=int, default=1, help="sweep worker processes")
     _add_format_flags(p)
     p.set_defaults(func=_cmd_bethe)
 

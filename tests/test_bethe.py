@@ -80,7 +80,7 @@ def test_bethe_residual_permutation_invariant():
 
 def test_find_critical_points_n2():
     cfg = MasterConfig((F(0), F(1)), (F(1, 2), F(1, 3)), 1)
-    pts = find_critical_points(cfg, seed=1)
+    pts = find_critical_points(cfg, count_real_by_spectrum(cfg, seed=1)[1])
     assert len(pts) == 1 and pts[0].is_real
     tstar = float((F(1, 2) * 1) / (F(1, 2) + F(1, 3)))
     assert abs(-pts[0].qpoly[1].real - tstar) < 1e-9
@@ -88,7 +88,7 @@ def test_find_critical_points_n2():
 
 def test_find_critical_points_n3_m1():
     cfg = MasterConfig((F(0), F(1), F(3)), (F(23, 10), F(17, 10), F(-2, 5)), 1)
-    pts = find_critical_points(cfg, seed=1)
+    pts = find_critical_points(cfg, count_real_by_spectrum(cfg, seed=1)[1])
     assert len(pts) == 2  # dim E_1 = C(2,1)
     for p in pts:
         assert p.residual < 1e-10
@@ -96,7 +96,7 @@ def test_find_critical_points_n3_m1():
 
 def test_all_negative_all_points_real():
     cfg = MasterConfig((F(0), F(1), F(3)), (F(-1, 2), F(-3, 4), F(-7, 5)), 2)
-    pts = find_critical_points(cfg, seed=5)
+    pts = find_critical_points(cfg, count_real_by_spectrum(cfg, seed=5)[1])
     assert len(pts) == cfg.dim == 3
     assert all(p.is_real for p in pts)
 
@@ -116,7 +116,7 @@ def test_gaudin_level_structure_n2():
     system = gaudin_system(cfg)
     assert all(len(mat) == 1 for mat in system.matrices)
     # the 1x1 Hamiltonian matches the eigenvalue formula at the unique point
-    pts = find_critical_points(cfg, seed=0)
+    pts = find_critical_points(cfg, count_real_by_spectrum(cfg, seed=0)[1])
     mu = hamiltonian_eigenvalue(cfg, 0, pts[0].qpoly)
     assert abs(complex(system.matrices[0][0][0]) - mu) < 1e-9
 
@@ -153,7 +153,7 @@ def test_bethe_vector_two_routes_agree():
 
 def test_bethe_vector_relations_at_critical_points():
     cfg = MasterConfig((F(0), F(1), F(3)), (F(23, 10), F(17, 10), F(-2, 5)), 2)
-    pts = find_critical_points(cfg, seed=3)
+    pts = find_critical_points(cfg, count_real_by_spectrum(cfg, seed=3)[1])
     assert len(pts) == cfg.dim
     hmats = [
         np.array([[float(v) for v in row] for row in h])
@@ -211,7 +211,7 @@ def test_spectral_points_match_reference_search():
         for n, m in ((4, 1), (4, 2), (4, 2), (5, 2))
     ]
     for cfg, seed in _criterion5_instances() + larger:
-        spectral = find_critical_points(cfg, seed=seed)
+        spectral = find_critical_points(cfg, count_real_by_spectrum(cfg, seed=seed)[1])
         reference = search_critical_points(cfg, seed=seed)
         assert len(spectral) == len(reference) == cfg.dim, cfg
         for p in reference:
@@ -221,6 +221,19 @@ def test_spectral_points_match_reference_search():
             k = int(np.argmin(dist))
             assert dist[k] < 1e-8, (cfg, dist[k])
             assert spectral.pop(k).is_real == p.is_real, cfg
+
+
+def test_find_critical_points_rejects_another_configs_witnesses():
+    zs, lams = (F(0), F(1), F(3)), (F(-1, 2), F(-3, 4), F(-7, 5))
+    _, witnesses = count_real_by_spectrum(MasterConfig(zs, lams, 2), seed=3)
+    # one level up: dim 4 against 3 witnesses
+    with pytest.raises(DomainError):
+        find_critical_points(MasterConfig(zs, lams, 3), witnesses)
+    # n = 4 at m = 1 also has dim 3, but its joint tuples have 4 entries
+    other = MasterConfig(zs + (F(7, 2),), lams + (F(-31, 7),), 1)
+    assert other.dim == len(witnesses)
+    with pytest.raises(DomainError):
+        find_critical_points(other, witnesses)
 
 
 def test_bound_check_cases():

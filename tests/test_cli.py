@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vermasig import bethe, cli
 from vermasig.cli import main
 
 
@@ -126,15 +127,64 @@ def test_bethe_sweep_csv(capsys, tmp_path):
     assert out_path.read_text().strip() == out.strip()
 
 
-def test_bethe_sweep_parallel_matches_serial(capsys, monkeypatch):
-    argv = ["bethe", "--weights", "-1/2,-3/4,-7/5", "--z", "0,1,3",
-            "--sweep", "m=1..2", "--json"]
-    code, serial, _ = run(capsys, argv)
+SWEEP = ["bethe", "--weights", "-1/2,-3/4,-7/5", "--z", "0,1,3", "--sweep", "m=1..2", "--json"]
+
+
+def test_bethe_sweep_parallel_matches_serial(capsys):
+    code, serial, _ = run(capsys, SWEEP)
     assert code == 0
-    monkeypatch.setenv("VERMASIG_THREADS", "2")
-    code, parallel, _ = run(capsys, argv)
+    code, parallel, _ = run(capsys, SWEEP + ["--threads", "2"])
     assert code == 0
     assert serial == parallel
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs jobs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return list(map(fn, jobs))
+
+
+@pytest.mark.parametrize("threads, sizes", [("1", []), ("2", [2]), ("64", [2])])
+def test_bethe_pool_never_outnumbers_jobs(capsys, monkeypatch, threads, sizes):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    code, out, _ = run(capsys, SWEEP + ["--threads", threads])
+    assert code == 0
+    assert RecordingPool.sizes == sizes
+    assert len(json.loads(out)["rows"]) == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_bethe_rejects_fewer_than_one_thread(capsys, threads):
+    code, _, err = run(capsys, SWEEP + ["--threads", threads])
+    assert code == 2
+    assert "--threads" in err
+
+
+def test_bethe_builds_one_gaudin_system_per_level(capsys, monkeypatch):
+    calls = []
+    original = bethe.gaudin_system
+
+    def counting(cfg):
+        calls.append(cfg.m)
+        return original(cfg)
+
+    monkeypatch.setattr(bethe, "gaudin_system", counting)
+    code, _, _ = run(capsys, SWEEP)
+    assert code == 0
+    assert calls == [1, 2]
 
 
 def test_bethe_deterministic_given_seed(capsys):
