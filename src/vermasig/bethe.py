@@ -19,8 +19,8 @@ signature from character peeling bounds the real count from below.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,6 +35,7 @@ from .sigchar import (
     RationalLike,
     ensure_generic,
     fractionize,
+    multiplicity_dim,
     peel_decompose,
 )
 from .shapovalov import (
@@ -69,7 +70,8 @@ class MasterConfig:
     The master function itself is defined for arbitrary real weights, so only
     exactness and distinctness are checked here; operations that rely on the
     multiplicity-space structure (Gaudin systems, point counting, the bound)
-    require a generic tuple and check it themselves.
+    require a generic tuple and check it themselves.  Numeric code reads the
+    config only through ``floats``.
     """
 
     z: tuple[Fraction, ...]
@@ -101,17 +103,30 @@ class MasterConfig:
 
     @property
     def dim(self) -> int:
-        return math.comb(self.m + self.n - 2, self.n - 2)
+        return multiplicity_dim(self.n, self.m)
+
+    @functools.cached_property
+    def floats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only float64 arrays (z, lam, c), built once per config.
+
+        c[k] is the exact highest_vector_eigenvalue(self, k), rounded once.
+        """
+        c = [highest_vector_eigenvalue(self, k) for k in range(self.n)]
+        arrays = tuple(np.array(v, dtype=float) for v in (self.z, self.weights, c))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def _check_arrangement(cfg: MasterConfig, t: Sequence[complex], eps: float = 1e-12) -> None:
     tv = [complex(x) for x in t]
     if len(tv) != cfg.m:
         raise DomainError(f"expected {cfg.m} coordinates, got {len(tv)}")
+    z = cfg.floats[0]
     for i, ti in enumerate(tv):
-        for zk in cfg.z:
-            if abs(ti - complex(zk)) <= eps:
-                raise DomainError(f"t[{i}] collides with z = {zk}")
+        hits = np.flatnonzero(np.abs(ti - z) <= eps)
+        if hits.size:
+            raise DomainError(f"t[{i}] collides with z = {cfg.z[hits[0]]}")
         for j in range(i + 1, len(tv)):
             if abs(ti - tv[j]) <= eps:
                 raise DomainError(f"t[{i}] collides with t[{j}]")
@@ -124,13 +139,14 @@ def master_value(cfg: MasterConfig, t: Sequence[float]) -> float:
     if any(abs(x.imag) > 1e-12 for x in tv):
         raise DomainError("master_value is real-valued; pass a real tuple")
     ts = [x.real for x in tv]
+    z, lam, _ = cfg.floats
     value = 1.0
     for i in range(len(ts)):
         for j in range(i + 1, len(ts)):
             value *= (ts[i] - ts[j]) ** 2
     for ti in ts:
-        for zk, lam in zip(cfg.z, cfg.weights):
-            value *= abs(ti - float(zk)) ** float(-lam)
+        for zk, lk in zip(z.tolist(), lam.tolist()):
+            value *= abs(ti - zk) ** -lk
     return value
 
 
@@ -141,17 +157,9 @@ def bethe_residual(cfg: MasterConfig, t: Sequence[complex]) -> float:
     return float(np.max(np.abs(_bethe_equations(cfg, tv))))
 
 
-def _z_array(cfg: MasterConfig) -> np.ndarray:
-    return np.array([complex(v) for v in cfg.z])
-
-
-def _lam_array(cfg: MasterConfig) -> np.ndarray:
-    return np.array([float(w) for w in cfg.weights])
-
-
 def _bethe_equations(cfg: MasterConfig, t: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
-    z = _z_array(cfg)
-    lam = _lam_array(cfg) if lam is None else lam
+    z = cfg.floats[0]
+    lam = cfg.floats[1] if lam is None else lam
     dtz = t[:, None] - z[None, :]
     g = -np.sum(lam[None, :] / dtz, axis=1)
     if len(t) > 1:
@@ -164,8 +172,8 @@ def _bethe_equations(cfg: MasterConfig, t: np.ndarray, lam: np.ndarray | None = 
 
 
 def _bethe_jacobian(cfg: MasterConfig, t: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
-    z = _z_array(cfg)
-    lam = _lam_array(cfg) if lam is None else lam
+    z = cfg.floats[0]
+    lam = cfg.floats[1] if lam is None else lam
     m = len(t)
     dtz = t[:, None] - z[None, :]
     jac = np.zeros((m, m), dtype=complex)
@@ -194,12 +202,13 @@ class CriticalPoint:
 
 
 def _is_real_poly(coeffs: np.ndarray, tol: float) -> bool:
-    return bool(np.all(np.abs(coeffs.imag) < tol * (1.0 + np.abs(coeffs))))
+    """Every entry (Q's coefficients, or a joint tuple) has |imag| <= tol (1 + |entry|)."""
+    return bool(np.all(np.abs(coeffs.imag) <= tol * (1.0 + np.abs(coeffs))))
 
 
 def _too_close(cfg: MasterConfig, t: np.ndarray) -> bool:
     scale = 1.0 + float(np.max(np.abs(t)))
-    z = np.array([complex(v) for v in cfg.z])
+    z = cfg.floats[0]
     if np.min(np.abs(t[:, None] - z[None, :])) < 1e-13 * scale:
         return True
     if cfg.m > 1:
@@ -231,9 +240,7 @@ def find_critical_points(
             f"joint tuples of length {cfg.n}"
         )
     n, m = cfg.n, cfg.m
-    lam = _lam_array(cfg)
-    z = _z_array(cfg).real
-    c = np.array([float(highest_vector_eigenvalue(cfg, k)) for k in range(n)])
+    z, lam, c = cfg.floats
     # coefficients lowest degree first; cofactors[k] = P0/(x - z_k)
     p0 = np.poly(z)[::-1]
     cofactors = np.array([np.poly(np.delete(z, k))[::-1] for k in range(n)])
@@ -327,9 +334,6 @@ class GaudinSystem:
     matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]
     gram: GramMatrix
 
-    def float_matrices(self) -> list[np.ndarray]:
-        return [np.array([[float(v) for v in row] for row in mat]) for mat in self.matrices]
-
 
 def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     """Restrict the Hamiltonians to the singular vectors and check them exactly.
@@ -371,14 +375,9 @@ def _check_self_adjoint(mat, gram: GramMatrix) -> None:
 
 def hamiltonian_eigenvalue(cfg: MasterConfig, i: int, qpoly: Sequence[complex]) -> complex:
     """Joint eigenvalue of H_i on the Bethe line of a critical polynomial Q."""
-    z = [complex(v) for v in cfg.z]
-    lam = [float(w) for w in cfg.weights]
+    z, lam, c = cfg.floats
     q = np.array(qpoly, dtype=complex)
-    dq = np.polyder(q)
-    value = -lam[i] * np.polyval(dq, z[i]) / np.polyval(q, z[i])
-    value += (lam[i] / 2.0) * sum(
-        lam[j] / (z[i] - z[j]) for j in range(cfg.n) if j != i
-    )
+    value = -lam[i] * np.polyval(np.polyder(q), z[i]) / np.polyval(q, z[i]) + c[i]
     return complex(value)
 
 
@@ -402,7 +401,7 @@ def bethe_vector(cfg: MasterConfig, t: Sequence[complex]) -> np.ndarray:
     """
     _check_arrangement(cfg, t)
     n = cfg.n
-    z = [complex(v) for v in cfg.z]
+    z = cfg.floats[0].tolist()
     state: dict[tuple[int, ...], complex] = {(0,) * n: 1.0 + 0.0j}
     for tj in t:
         new: dict[tuple[int, ...], complex] = {}
@@ -417,9 +416,7 @@ def bethe_vector(cfg: MasterConfig, t: Sequence[complex]) -> np.ndarray:
 
 def raising_residual(cfg: MasterConfig, vec: np.ndarray) -> float:
     """|E b| / |b| for a level-m coefficient vector (zero at critical points)."""
-    mat = np.array(
-        [[float(v) for v in row] for row in raising_matrix(cfg.weights, cfg.m)]
-    )
+    mat = np.array(raising_matrix(cfg.weights, cfg.m), dtype=float)
     if mat.size == 0:
         return 0.0
     return float(np.linalg.norm(mat @ vec) / np.linalg.norm(vec))
@@ -448,7 +445,7 @@ def count_real_by_spectrum(
     points.  Retries with a fresh combination on near-degenerate spectra.
     """
     system = gaudin_system(cfg)
-    floats = system.float_matrices()
+    hams = [np.array(mat, dtype=float) for mat in system.matrices]
     r = system.basis.dim
     rng = random.Random(seed)
     last_gap = None
@@ -461,7 +458,7 @@ def count_real_by_spectrum(
             ]
             for u in range(r)
         ]
-        mat = np.array([[float(v) for v in row] for row in combined])
+        mat = np.array(combined, dtype=float)
         evals, evecs = np.linalg.eig(mat)
         scale = max(1.0, float(np.max(np.abs(evals))))
         if r == 1:
@@ -481,9 +478,9 @@ def count_real_by_spectrum(
     for col in range(r):
         w = evecs[:, col]
         denom = complex(np.vdot(w, w))
-        joint = tuple(complex(np.vdot(w, h @ w) / denom) for h in floats)
+        joint = tuple(complex(np.vdot(w, h @ w) / denom) for h in hams)
         max_imag = max(abs(mu.imag) for mu in joint)
-        is_real = all(abs(mu.imag) <= REAL_TOL * (1.0 + abs(mu)) for mu in joint)
+        is_real = _is_real_poly(np.array(joint), REAL_TOL)
         witnesses.append(SpectrumWitness(joint, is_real, max_imag))
     return sum(1 for w in witnesses if w.is_real), witnesses
 

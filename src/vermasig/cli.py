@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import re
 import sys
@@ -20,7 +19,7 @@ from fractions import Fraction
 _NEGATIVE_RATIONAL_LIST = re.compile(r"^-\d[\d/,.\-]*$")
 
 from . import __version__
-from .sigchar import DomainError, GenericityError, peel_decompose
+from .sigchar import DomainError, GenericityError, multiplicity_dim, peel_decompose
 from .classify import ExplicitType, classify_definite, default_level_bound, verify_type
 from .quantum import QParam, RootOfUnityError, crystal_multiplicity, multiplicity_signature
 from .bethe import FalsificationError, MasterConfig, bound_check, find_critical_points
@@ -125,8 +124,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if (args.type is None) == (args.weights is None):
-        raise UsageError("give exactly one of --type or --weights")
     if args.type is not None:
         values = _parse_int_list(args.type)
         if len(values) < 3:
@@ -171,7 +168,7 @@ def _cmd_quantum(args) -> int:
                 {
                     "m": m,
                     "sgn": multiplicity_signature(weights, m, None),
-                    "dim": math.comb(m + len(weights) - 2, len(weights) - 2),
+                    "dim": multiplicity_dim(len(weights), m),
                 }
             )
         report = {
@@ -268,9 +265,7 @@ def _cmd_bethe(args) -> int:
         raise UsageError("--threads must be at least 1")
     weights = _parse_rational_list(args.weights)
     z = _parse_rational_list(args.z)
-    levels = _parse_sweep(args.sweep) if args.sweep else [args.m]
-    if levels == [None]:
-        raise UsageError("give -m or --sweep")
+    levels = [args.m] if args.sweep is None else _parse_sweep(args.sweep)
     for m in levels:
         MasterConfig(tuple(z), tuple(weights), m).require_generic()
     jobs = [(weights, z, m, args.seed + idx) for idx, m in enumerate(levels)]
@@ -328,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("classify", help="definite multiplicity spaces of an explicit type")
-    p.add_argument("--type", help="total floor,factor floors (e.g. 1,0,0,-1)")
-    p.add_argument("--weights", help="derive the explicit type from weights")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--type", help="total floor,factor floors (e.g. 1,0,0,-1)")
+    source.add_argument("--weights", help="derive the explicit type from weights")
     p.add_argument("--bound", type=int)
     p.add_argument("--verify", action="store_true", help="cross-check against peeling")
     p.add_argument("--seed", type=int, default=0)
@@ -339,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantum", help="multiplicity signatures at unit-circle q or q=1")
     p.add_argument("--a", help="nonnegative integer weights, comma separated")
     p.add_argument("--t", help="q = exp(i*pi*t) for rational t = p/D in (0,1)")
-    p.add_argument("-m", type=int)
-    p.add_argument("--all-levels", action="store_true")
+    levels = p.add_mutually_exclusive_group()
+    levels.add_argument("-m", type=int)
+    levels.add_argument("--all-levels", action="store_true")
     p.add_argument("--q1", action="store_true", help="evaluate the formula at q = 1")
     p.add_argument("--weights", help="rational weights for --q1 mode")
     p.add_argument("--max-level", type=int)
@@ -350,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bethe", help="real critical point counts and the signature bound")
     p.add_argument("--weights", required=True)
     p.add_argument("--z", required=True)
-    p.add_argument("-m", type=int)
-    p.add_argument("--sweep", help="level range, e.g. m=1..3")
+    levels = p.add_mutually_exclusive_group(required=True)
+    levels.add_argument("-m", type=int)
+    levels.add_argument("--sweep", help="level range, e.g. m=1..3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1, help="sweep worker processes")
     _add_format_flags(p)

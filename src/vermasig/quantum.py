@@ -41,11 +41,6 @@ class QParam:
         object.__setattr__(self, "numer", self.numer // g)
         object.__setattr__(self, "denom", self.denom // g)
 
-    @classmethod
-    def from_t(cls, t: RationalLike) -> "QParam":
-        t = fractionize(t)
-        return cls(t.numerator, t.denominator)
-
     @property
     def t(self) -> Fraction:
         return Fraction(self.numer, self.denom)
@@ -238,22 +233,31 @@ class QTensorState:
         return float(np.linalg.norm(self.coeffs))
 
 
-def unit_normalized_hwv(a: int, b: int, m: int, qp: QParam) -> QTensorState:
-    """Highest weight vector of the weight-(a+b-2m) summand of V_a x V_b.
+def _hwv_coefficients(a: int, b: int, m: int, qp: QParam) -> list[complex]:
+    """v_i x w_{m-i} coefficients, i = 0..m, of the unit-normalized highest weight vector.
 
-    Normalized so the v_0 x w_m coefficient is 1; the v_i x w_{m-i}
-    coefficient is (-1)^i q^{ai-i^2+i} (b-m+i choose i)_q / (a choose i)_q.
+    The i-th is (-1)^i q^{ai-i^2+i} (b-m+i choose i)_q / (a choose i)_q.
     """
     if not 0 <= m <= min(a, b):
         raise DomainError(f"need 0 <= m <= min(a, b), got m={m}")
+    return [
+        (-1) ** i
+        * qp.power(a * i - i * i + i)
+        * q_binomial_value(b - m + i, i, qp)
+        / q_binomial_value(a, i, qp)
+        for i in range(m + 1)
+    ]
+
+
+def unit_normalized_hwv(a: int, b: int, m: int, qp: QParam) -> QTensorState:
+    """Highest weight vector of the weight-(a+b-2m) summand of V_a x V_b.
+
+    Normalized so the v_0 x w_m coefficient is 1 (see _hwv_coefficients).
+    """
+    u = _hwv_coefficients(a, b, m, qp)
     coeffs = np.zeros((a + 1, b + 1), dtype=complex)
-    for i in range(m + 1):
-        coeffs[i, m - i] = (
-            (-1) ** i
-            * qp.power(a * i - i * i + i)
-            * q_binomial_value(b - m + i, i, qp)
-            / q_binomial_value(a, i, qp)
-        )
+    for i, value in enumerate(u):
+        coeffs[i, m - i] = value
     return QTensorState(a, b, coeffs)
 
 
@@ -280,29 +284,15 @@ def coboundary_norm(a: int, b: int, m: int, qp: QParam) -> complex:
     q^{ab/2-am-bm+m^2-m}), and pairs against u through the diagonal
     single-factor norms (v_i, v_i) = (a choose i)_q.
     """
-    if not 0 <= m <= min(a, b):
-        raise DomainError(f"need 0 <= m <= min(a, b), got m={m}")
-    u = [
-        (-1) ** i
-        * qp.power(a * i - i * i + i)
-        * q_binomial_value(b - m + i, i, qp)
-        / q_binomial_value(a, i, qp)
-        for i in range(m + 1)
-    ]
+    u = _hwv_coefficients(a, b, m, qp)
     c0 = (
         (-1) ** m
         * qp.power(Fraction(a * b, 2) - a * m - b * m + m * m - m)
         * q_binomial_value(b, m, qp)
         / q_binomial_value(a, m, qp)
     )
-    braided = [
-        c0
-        * (-1) ** i
-        * qp.power(b * i - i * i + i)
-        * q_binomial_value(a - m + i, i, qp)
-        / q_binomial_value(b, i, qp)
-        for i in range(m + 1)
-    ]
+    # the braiding swaps the factors: the same coefficients with a and b exchanged
+    braided = [c0 * v for v in _hwv_coefficients(b, a, m, qp)]
     scalar = qp.power(-Fraction(a * b, 2) + a * m + b * m - m * m + m)
     paired = sum(
         braided[m - i]

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import exact
 from .exact import Matrix, express_in_basis  # express_in_basis is part of this module's API
-from .sigchar import DomainError, GenericityError, RationalLike, ensure_generic
+from .sigchar import DomainError, GenericityError, RationalLike, ensure_generic, multiplicity_dim
 
 
 def lex_compositions(total: int, slots: int):
@@ -110,7 +110,7 @@ def singular_basis(lams: Sequence[RationalLike], m: int) -> SingularBasis:
     n = len(lams)
     comps = compositions(m, n)
     basis = exact.nullspace(raising_matrix(lams, m), len(comps))
-    expected = math.comb(m + n - 2, n - 2)
+    expected = multiplicity_dim(n, m)
     if len(basis) != expected:
         raise GenericityError(
             f"kernel dimension {len(basis)} != {expected}; weights are degenerate"

@@ -203,6 +203,11 @@ class Decomposition:
         )
 
 
+def multiplicity_dim(n: int, m: int) -> int:
+    """Dimension C(m+n-2, n-2) of the level-m multiplicity space of n generic factors."""
+    return math.comb(m + n - 2, n - 2)
+
+
 def _ensure_generic_tuple(lams: Iterable[RationalLike]) -> list[Fraction]:
     out = [ensure_generic(l) for l in lams]
     if len(out) < 2:
@@ -228,7 +233,7 @@ def peel_decompose(lams: Sequence[RationalLike], depth: int) -> Decomposition:
     entries = []
     for m in range(depth + 1):
         pos, neg = rem[m]
-        expected = math.comb(m + n - 2, n - 2)
+        expected = multiplicity_dim(n, m)
         if not (pos >= 0 and neg >= 0 and pos + neg == expected):
             raise InvariantError(
                 f"peeling invariant broken at level {m}: ({pos}, {neg}) "

@@ -20,7 +20,6 @@ from vermasig.bethe import (
     _bethe_equations,
     _bethe_jacobian,
     _is_real_poly,
-    _lam_array,
     _polish,
     _too_close,
 )
@@ -291,7 +290,7 @@ def _continuation_points(
     basin hop and retried shorter; tracks that cannot be continued are
     dropped.
     """
-    lam_end = _lam_array(cfg)
+    lam_end = cfg.floats[1]
     shift = np.array([2 * max(0, math.ceil(w)) for w in cfg.weights], dtype=float)
     lam_start = lam_end - shift
     tracks = _all_negative_points(cfg, lam_start.astype(complex), tol, rng)

@@ -236,6 +236,39 @@ def test_find_critical_points_rejects_another_configs_witnesses():
         find_critical_points(other, witnesses)
 
 
+def test_float_view_is_built_once_and_read_only():
+    cfg = MasterConfig((F(0), F(1), F(3)), (F(23, 10), F(17, 10), F(-2, 5)), 2)
+    z, lam, c = cfg.floats
+    assert cfg.floats is cfg.floats
+    assert z.tolist() == [0.0, 1.0, 3.0]
+    assert lam.tolist() == [2.3, 1.7, -0.4]
+    assert c.tolist() == [float(highest_vector_eigenvalue(cfg, k)) for k in range(cfg.n)]
+    for arr in cfg.floats:
+        assert arr.dtype == np.float64
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_find_critical_points_converts_no_fractions(monkeypatch):
+    cfg = MasterConfig((F(0), F(1), F(3)), (F(23, 10), F(17, 10), F(-2, 5)), 2)
+    _, witnesses = count_real_by_spectrum(cfg, seed=0)
+    calls = []
+    original = F.__float__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(F, "__float__", counting)
+    # the counter sees the view's own conversions: z, weights and c, once each
+    cfg.floats
+    assert len(calls) == 3 * cfg.n
+    calls.clear()
+    points = find_critical_points(cfg, witnesses)
+    assert len(points) == cfg.dim
+    assert calls == []
+
+
 def test_bound_check_cases():
     rep = bound_check(MasterConfig((F(0), F(1)), (F(-1, 2), F(5, 7)), 2), seed=3)
     assert (abs(rep.signature), rep.n_real, rep.dim) == (1, 1, 1)

@@ -166,6 +166,20 @@ def test_bethe_pool_never_outnumbers_jobs(capsys, monkeypatch, threads, sizes):
     assert len(json.loads(out)["rows"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SWEEP + ["-m", "2"],
+        ["quantum", "--a", "2,2", "--t", "1/23", "-m", "1", "--all-levels"],
+    ],
+)
+def test_either_or_level_flags_reject_both(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "not allowed with" in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_bethe_rejects_fewer_than_one_thread(capsys, threads):
     code, _, err = run(capsys, SWEEP + ["--threads", threads])
