@@ -12,6 +12,7 @@ two-factor product to verify the closed form the signature formula rests on.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .shapovalov import lex_compositions
 from .sigchar import DomainError, RationalLike, fractionize
 
 
@@ -76,15 +76,12 @@ def _real_index_sign(y: Fraction, qp: QParam) -> int:
     return 1 if r < 1 else -1
 
 
-def _rational_binomial_sign(top: Fraction, bottom: int) -> int:
-    # sign of top*(top-1)*...*(top-bottom+1)/bottom! at q = 1
-    sign = 1
-    for i in range(bottom):
-        if top == i:
-            return 0
-        if top < i:
-            sign = -sign
-    return sign
+def _rational_binomial_sign(floor: int, integral: bool, bottom: int) -> int:
+    # sign of top(top-1)...(top-bottom+1)/bottom! at q = 1: 0 iff top is an integer
+    # in [0, bottom), else one flip per factor top - i with i > top
+    if integral and 0 <= floor < bottom:
+        return 0
+    return -1 if (bottom - min(bottom, max(0, floor + 1))) % 2 else 1
 
 
 def q_binomial_sign(top, bottom: int, qp: QParam | None = None) -> int:
@@ -102,7 +99,7 @@ def q_binomial_sign(top, bottom: int, qp: QParam | None = None) -> int:
         return 1
     top = fractionize(top)
     if qp is None:
-        return _rational_binomial_sign(top, bottom)
+        return _rational_binomial_sign(math.floor(top), top.denominator == 1, bottom)
     if top.denominator == 1:
         n = int(top)
         if n < 0:
@@ -138,6 +135,13 @@ def multiplicity_signature(
     coboundary form on the finite-dimensional multiplicity space; at q = 1
     with generic rational weights it is the Verma-module signature
     pos_m - neg_m.
+
+    A step's sign depends only on (M_{j-1}, M_j), so the sum is a transfer
+    matrix: one vector over M = 0..m, updated n - 1 times.  At q = 1 it needs
+    only the floors and integrality of the A_j and a_j, read off integers
+    over a common denominator.  At generic q a state that a nonzero term
+    reaches stays live even if its terms cancel, so RootOfUnityError is
+    raised exactly where such a term meets a zero [k].
     """
     a = [fractionize(w) for w in weights]
     n = len(a)
@@ -145,34 +149,44 @@ def multiplicity_signature(
         raise DomainError("need at least two tensor factors")
     if m < 0:
         raise DomainError("level must be nonnegative")
-    if qp is not None and all(x.denominator == 1 for x in a):
-        if any(x < 0 for x in a):
-            raise DomainError("generic-q integer mode needs nonnegative weights")
-    prefix = [Fraction(0)]
-    for x in a:
-        prefix.append(prefix[-1] + x)
+    if qp is not None and all(x.denominator == 1 for x in a) and any(x < 0 for x in a):
+        raise DomainError("generic-q integer mode needs nonnegative weights")
+    if qp is None:
+        d = math.lcm(*(x.denominator for x in a))
+        scaled = [x.numerator * (d // x.denominator) for x in a]
+        prefix_cuts = [(v // d, v % d == 0) for v in itertools.accumulate(scaled, initial=0)]
+        weight_cuts = [(v // d, v % d == 0) for v in scaled]
 
-    total = 0
-    for comp in lex_compositions(m, n - 1):
-        mk = [0]
-        for part in comp:
-            mk.append(mk[-1] + part)
-        term = 1
-        for j in range(1, n):
-            mj = comp[j - 1]
-            if mj == 0:
-                continue
-            term *= q_binomial_sign(1 + prefix[j + 1] - mk[j - 1] - mk[j], mj, qp)
-            if term == 0:
-                break
-            term *= q_binomial_sign(prefix[j] - 2 * mk[j - 1], mj, qp)
-            if term == 0:
-                break
-            term *= q_binomial_sign(a[j], mj, qp)
-            if term == 0:
-                break
-        total += term
-    return total
+        def step_sign(j: int, lo: int, hi: int) -> int:
+            (f1, w1), (f2, w2), (f3, w3) = prefix_cuts[j + 1], prefix_cuts[j], weight_cuts[j]
+            k = hi - lo
+            return (
+                _rational_binomial_sign(f1 + 1 - lo - hi, w1, k)
+                * _rational_binomial_sign(f2 - 2 * lo, w2, k)
+                * _rational_binomial_sign(f3, w3, k)
+            )
+
+    else:
+        prefix = list(itertools.accumulate(a, initial=Fraction(0)))
+
+        def step_sign(j: int, lo: int, hi: int) -> int:
+            # a binomial after a vanishing one is never evaluated, so it cannot raise
+            k = hi - lo
+            sign = q_binomial_sign(1 + prefix[j + 1] - lo - hi, k, qp)
+            sign = sign and sign * q_binomial_sign(prefix[j] - 2 * lo, k, qp)
+            return sign and sign * q_binomial_sign(a[j], k, qp)
+
+    # live prefix sums -> summed terms of the prefixes ending there
+    states = {0: 1}
+    for j in range(1, n):
+        reached: dict[int, int] = {}
+        for lo, total in states.items():
+            for hi in range(lo, m + 1) if j < n - 1 else (m,):
+                sign = step_sign(j, lo, hi) if hi > lo else 1
+                if sign:
+                    reached[hi] = reached.get(hi, 0) + sign * total
+        states = reached
+    return states.get(m, 0)
 
 
 def crystal_multiplicity(a: Sequence[int], m: int) -> int:

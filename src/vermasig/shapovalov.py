@@ -21,25 +21,18 @@ from .exact import Matrix, express_in_basis  # express_in_basis is part of this 
 from .sigchar import DomainError, GenericityError, RationalLike, ensure_generic, multiplicity_dim
 
 
-def lex_compositions(total: int, slots: int):
-    """Compositions of total into slots >= 1 nonnegative parts, in lexicographic order."""
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in lex_compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def compositions(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Compositions of m into n nonnegative parts, in colexicographic order.
 
-    Colex: compare at the last index where two compositions differ.  The
-    ordering is part of the module contract so Gram matrices are reproducible.
+    Colex: compare at the last index where two compositions differ, so the
+    last part varies slowest.  The ordering is part of the module contract so
+    Gram matrices are reproducible.
     """
     if m < 0 or n < 1:
         raise DomainError("need m >= 0 and n >= 1")
-    return tuple(sorted(lex_compositions(m, n), key=lambda c: c[::-1]))
+    if n == 1:
+        return ((m,),)
+    return tuple(c + (last,) for last in range(m + 1) for c in compositions(m - last, n - 1))
 
 
 def shapovalov_norm(lam: RationalLike, k: int) -> Fraction:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -64,9 +63,6 @@ class SCoeff(NamedTuple):
     def __add__(self, other: "SCoeff") -> "SCoeff":
         return SCoeff(self.plain + other.plain, self.twisted + other.twisted)
 
-    def __sub__(self, other: "SCoeff") -> "SCoeff":
-        return SCoeff(self.plain - other.plain, self.twisted - other.twisted)
-
     def __mul__(self, other: "SCoeff") -> "SCoeff":
         a, b = self
         c, d = other
@@ -75,9 +71,6 @@ class SCoeff(NamedTuple):
     def at_minus_one(self) -> int:
         """Evaluate at s = -1 (the signature of the weight space)."""
         return self.plain - self.twisted
-
-    def is_zero(self) -> bool:
-        return self.plain == 0 and self.twisted == 0
 
 
 _ONE = SCoeff(1, 0)
@@ -101,16 +94,8 @@ class SignatureSeries:
     def weight(self, k: int) -> Fraction:
         return self.base - 2 * k
 
-    def coeff(self, k: int) -> SCoeff:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return SCoeff(0, 0)
-
     def at_minus_one(self) -> tuple[int, ...]:
         return tuple(c.plain - c.twisted for c in self.coeffs)
-
-    def __mul__(self, other: "SignatureSeries") -> "SignatureSeries":
-        return multiply(self, other)
 
 
 def verma_character(lam: RationalLike, depth: int) -> SignatureSeries:
@@ -141,8 +126,7 @@ def multiply(x: SignatureSeries, y: SignatureSeries) -> SignatureSeries:
     xs, ys = x.coeffs, y.coeffs
     out = []
     for k in range(depth + 1):
-        plain = 0
-        twisted = 0
+        plain = twisted = 0
         for i in range(k + 1):
             a, b = xs[i]
             c, d = ys[k - i]
@@ -216,43 +200,59 @@ def _ensure_generic_tuple(lams: Iterable[RationalLike]) -> list[Fraction]:
     return out
 
 
-def peel_decompose(lams: Sequence[RationalLike], depth: int) -> Decomposition:
-    """Greedy peeling of prod_i ch(M_{lam_i}) into sum_m (pos + s*neg) ch(M_{lam-2m}).
+def _numerator_product(lams: Sequence[Fraction]) -> list[SCoeff]:
+    """Coefficients of prod_i N_{lam_i}, where N_lam = (1 - s x) ch(M_lam) is 1 for
+    lam < 0 and 1 + (1 - s)(x + ... + x^ceil(lam)) for lam > 0.  As
+    (1 - s)(p + s t) = (p - t)(1 - s), only coefficients with p != t spread."""
+    plain, twisted = [1], [0]
+    for lam in lams:
+        width = max(0, math.ceil(lam))
+        diffs = [p - t for p, t in zip(plain, twisted)]
+        plain, twisted = plain + [0] * width, twisted + [0] * width
+        for i, d in enumerate(diffs):
+            for k in range(i + 1, i + width + 1) if d else ():
+                plain[k] += d
+                twisted[k] -= d
+    return [SCoeff(p, t) for p, t in zip(plain, twisted)]
 
-    At step m the remainder's level-m coefficient is the multiplicity
-    coefficient of ch(M_{lam-2m}) (whose own leading coefficient is 1), so
-    subtracting its shifted multiple zeroes level m exactly.  Dimension and
-    nonnegativity of every entry are hard internal checks: a failure means an
-    arithmetic bug, not bad input.
+
+def peel_decompose(lams: Sequence[RationalLike], depth: int) -> Decomposition:
+    """Decompose prod_i ch(M_{lam_i}) as sum_m (pos + s*neg) ch(M_{lam-2m}).
+
+    In x = e^{-2} the c_m = pos + s*neg solve sum_m c_m x^m N_{lam-2m} =
+    prod_i N_{lam_i} / (1 - s x)^(n-1) (see ``_numerator_product``): the
+    numerator divided n - 1 times by (1 - s x), each a running sum
+    y_k = r_k + s*y_{k-1}.  As N_{lam-2m'} adds (1 - s) c_{m'} to levels
+    m' + 1 .. ceil(lam) - m', c_m is that series' coefficient less (1 - s)
+    times the summed pos - neg of the levels m' < m with m' <= ceil(lam) - m.
+    Dimension and nonnegativity of every entry are hard internal checks: a
+    failure means an arithmetic bug, not bad input.
     """
     lams = _ensure_generic_tuple(lams)
+    if depth < 0:
+        raise DomainError("depth must be nonnegative")
     n = len(lams)
     total = sum(lams)
-    product = reduce(multiply, (verma_character(l, depth) for l in lams))
-    rem = list(product.coeffs)
+    series = _numerator_product(lams)[: depth + 1]
+    plain, twisted = map(list, zip(*series, *[(0, 0)] * (depth + 1 - len(series))))
+    for _ in range(n - 1):
+        for k in range(1, depth + 1):
+            plain[k], twisted[k] = plain[k] + twisted[k - 1], twisted[k] + plain[k - 1]
+    top = math.ceil(total)
+    signatures = [0]  # signatures[i]: summed pos - neg of the levels below i
     entries = []
     for m in range(depth + 1):
-        pos, neg = rem[m]
+        correction = signatures[max(0, min(m, top + 1 - m))]
+        pos, neg = plain[m] - correction, twisted[m] + correction
         expected = multiplicity_dim(n, m)
         if not (pos >= 0 and neg >= 0 and pos + neg == expected):
             raise InvariantError(
                 f"peeling invariant broken at level {m}: ({pos}, {neg}) "
                 f"should be nonnegative with sum {expected}"
             )
-        beta = verma_character(total - 2 * m, depth - m)
-        for k, (c, d) in enumerate(beta.coeffs):
-            p, t = rem[m + k]
-            rem[m + k] = SCoeff(p - (pos * c + neg * d), t - (pos * d + neg * c))
         entries.append(DecompositionEntry(m, pos, neg))
+        signatures.append(signatures[-1] + pos - neg)
     return Decomposition(n, total, tuple(entries))
-
-
-def _convolve_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
 
 
 def _binom_poly(x: int, r: int) -> int:
@@ -269,8 +269,9 @@ def _binom_poly(x: int, r: int) -> int:
 def asymptotic_signature(lams: Sequence[RationalLike], m: int) -> int:
     """Signature of the level-m multiplicity space, valid for large m.
 
-    Expands prod over positive weights of (1 + 2x + ... + 2x^{ceil(lam_i)})
-    into coefficients c_i and returns
+    Expands the numerator product of ``peel_decompose`` at s = -1, the product
+    over positive weights of (1 + 2x + ... + 2x^{ceil(lam_i)}), into
+    coefficients c_i and returns
     (-1)^m * sum_i binom(m + n - 2 - i, n - 2) * (-1)^i * c_i,
     with the binomial read as a polynomial in m.  The formula holds for all
     sufficiently large m; callers locate the threshold by comparing against
@@ -278,18 +279,10 @@ def asymptotic_signature(lams: Sequence[RationalLike], m: int) -> int:
     """
     lams = _ensure_generic_tuple(lams)
     n = len(lams)
-    coeffs = [1]
-    for lam in lams:
-        if lam > 0:
-            coeffs = _convolve_int(coeffs, [1] + [2] * math.ceil(lam))
     total = 0
-    for i, c in enumerate(coeffs):
-        total += _binom_poly(m + n - 2 - i, n - 2) * (-1) ** i * c
+    for i, c in enumerate(_numerator_product(lams)):
+        total += _binom_poly(m + n - 2 - i, n - 2) * (-1) ** i * c.at_minus_one()
     return (-1) ** m * total
-
-
-def _minus_series(lam: Fraction, depth: int) -> tuple[int, ...]:
-    return verma_character(lam, depth).at_minus_one()
 
 
 def e_decomposition_check(mu: RationalLike, depth: int) -> bool:
@@ -308,7 +301,7 @@ def e_decomposition_check(mu: RationalLike, depth: int) -> bool:
     def accumulate(coeff: int, shift: int, lam: Fraction) -> None:
         if coeff == 0 or shift > depth:
             return
-        for k, v in enumerate(_minus_series(lam, depth - shift)):
+        for k, v in enumerate(verma_character(lam, depth - shift).at_minus_one()):
             total[shift + k] += coeff * v
 
     accumulate(1, 0, mu)

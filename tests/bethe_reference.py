@@ -23,7 +23,9 @@ from vermasig.bethe import (
     _polish,
     _too_close,
 )
-from vermasig.shapovalov import compositions, lex_compositions
+from vermasig.shapovalov import compositions
+
+from closed_form_reference import lex_compositions
 
 
 def bethe_vector_closed_form(cfg, t):

@@ -22,6 +22,27 @@ from vermasig import (
 from vermasig.quantum import q_binomial_value, raising_action
 from vermasig.sigchar import is_generic
 
+from closed_form_reference import binomial_sign_loop, composition_sum
+
+
+def random_generic_tuple(rng, n, denoms=(3, 7, 10, 11, 13), span=40):
+    while True:
+        lams = [F(rng.randint(-span, span), rng.choice(denoms)) for _ in range(n)]
+        if all(is_generic(l) for l in lams) and is_generic(sum(lams)):
+            return lams
+
+
+def random_split(rng, total, n):
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return tuple(hi - lo for lo, hi in zip((0, *cuts), (*cuts, total)))
+
+
+def outcome(weights, m, qp, signature):
+    try:
+        return signature(weights, m, qp)
+    except RootOfUnityError:
+        return RootOfUnityError
+
 
 def test_qparam_validation_and_reduction():
     qp = QParam(2, 46)
@@ -227,3 +248,70 @@ def test_verma_weight_extension_at_generic_q():
         for j in range(1, k + 1):
             value *= math.sin(float(top - j + 1) * math.pi * t) / math.sin(j * math.pi * t)
         assert q_binomial_sign(top, k, qp) == (1 if value > 0 else -1)
+
+
+def test_closed_binomial_sign_matches_loop():
+    checked = 0
+    for denom in (1, 2, 3, 7):
+        for numer in range(-60, 61):
+            top = F(numer, denom)
+            for k in range(15):
+                assert q_binomial_sign(top, k) == binomial_sign_loop(top, k), (top, k)
+                checked += 1
+    assert checked == 484 * 15
+
+
+def test_formula_matches_composition_sum_on_criterion3_inputs():
+    # the inputs of acceptance criterion 3
+    rng = random.Random(31)
+    for _ in range(100):
+        lams = random_generic_tuple(rng, rng.choice([2, 3, 4]))
+        for m in range(9):
+            assert multiplicity_signature(lams, m) == composition_sum(lams, m), (lams, m)
+
+
+def test_formula_matches_composition_sum_on_unit_circle_classes():
+    # every q-item class of the formulas benchmark: t, n = 2..4, sum(a)
+    rng = random.Random(47)
+    for p, d in ((1, 23), (2, 31), (5, 47), (3, 29)):
+        qp = QParam(p, d)
+        for n in (2, 3, 4):
+            for total in range(2, 22, 3):
+                a = random_split(rng, total, n)
+                for m in range(total // 2 + 1):
+                    assert multiplicity_signature(a, m, qp) == composition_sum(a, m, qp), (a, m, qp)
+
+
+def test_formula_matches_composition_sum_on_large_cases():
+    rng = random.Random(8)
+    for n, m in ((5, 12), (6, 14), (8, 10)):
+        lams = random_generic_tuple(rng, n)
+        assert multiplicity_signature(lams, m) == composition_sum(lams, m), (lams, m)
+
+
+def test_root_of_unity_error_where_composition_sum_raises():
+    # sum(a) up to and past D, where some quantum integers vanish
+    rng = random.Random(58)
+    raised = returned = 0
+    for p, d in ((1, 5), (2, 7), (3, 8)):
+        qp = QParam(p, d)
+        for n in (2, 3, 4):
+            for total in range(d + 4):
+                for _ in range(3):
+                    a = random_split(rng, total, n)
+                    for m in range(total // 2 + 2):
+                        want = outcome(a, m, qp, composition_sum)
+                        assert outcome(a, m, qp, multiplicity_signature) == want, (a, m, qp)
+                        raised += want is RootOfUnityError
+                        returned += want is not RootOfUnityError
+    assert raised and returned
+    # rational weights at generic q where the terms of all prefixes reaching
+    # some prefix sum cancel, and a step from that prefix sum raises
+    for (p, d), weights, m in (
+        ((1, 5), ("-7/2", 1, "9/2", -2, 5), 2),
+        ((2, 7), (9, -5, -3, "7/2"), 3),
+        ((3, 8), ("9/2", "-15/2", 4, -8), 3),
+    ):
+        assert outcome(weights, m, QParam(p, d), composition_sum) is RootOfUnityError
+        with pytest.raises(RootOfUnityError):
+            multiplicity_signature(weights, m, QParam(p, d))

@@ -18,6 +18,8 @@ from vermasig import (
 from vermasig.shapovalov import lowering_matrix, pair_vectors, raising_matrix
 from vermasig.sigchar import is_generic
 
+from closed_form_reference import lex_compositions
+
 
 def random_generic_tuple(rng, n, denoms=(2, 3, 5, 7, 97), span=200):
     while True:
@@ -35,6 +37,14 @@ def test_compositions_colex_order():
     for a, b in zip(comps, comps[1:]):
         last = max(i for i in range(3) if a[i] != b[i])
         assert a[last] < b[last]
+
+
+def test_compositions_are_sorted_lex_compositions():
+    # Gram matrices depend on this order
+    for m in range(9):
+        for n in range(1, 6):
+            want = tuple(sorted(lex_compositions(m, n), key=lambda c: c[::-1]))
+            assert compositions(m, n) == want, (m, n)
 
 
 def test_shapovalov_norm_values():

@@ -14,7 +14,10 @@ from vermasig import (
     peel_decompose,
     verma_character,
 )
+from vermasig.classify import consistent_types, representative_weights
 from vermasig.sigchar import is_generic
+
+from closed_form_reference import greedy_peel
 
 
 def random_generic_tuple(rng, n, denoms=(3, 7, 10, 11, 13), span=40):
@@ -194,3 +197,31 @@ def test_e_decomposition_random():
             continue
         assert e_decomposition_check(mu, 10), mu
         checked += 1
+
+
+def test_peel_matches_greedy_on_criterion1_sample():
+    # every 30th input of acceptance criterion 1, at its level bound
+    rng = random.Random(1009)
+    checked = 0
+    for n in (2, 3, 4, 5):
+        for index, t in enumerate(consistent_types(n, -4, 4)):
+            lams = representative_weights(t, rng)
+            if index % 30:
+                continue
+            bound = 2 * sum(f + 1 for f in t.factor_floors if f >= 0) + 2 * n
+            assert peel_decompose(lams, bound) == greedy_peel(lams, bound), (lams, bound)
+            checked += 1
+    assert checked >= 250
+
+
+@pytest.mark.parametrize(
+    "lams, depth",
+    [([F(-7, 3), F(11, 5), F(-1, 2), F(17, 7)], 200), ([F(9, 2), F(-3), F(5, 3), F(-13, 7)], 400)],
+)
+def test_peel_matches_greedy_at_depth(lams, depth):
+    assert peel_decompose(lams, depth) == greedy_peel(lams, depth)
+
+
+def test_peel_rejects_negative_depth():
+    with pytest.raises(DomainError):
+        peel_decompose([F(-1, 2), F(-1, 3)], -1)
