@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .quantum import q_binomial_sign
+from .quantum import multiplicity_signature
 from .sigchar import (
     DomainError,
     InvariantError,
@@ -89,10 +89,9 @@ def two_factor_sign(x1: RationalLike, x2: RationalLike, k: int) -> int:
     """Sign of the level-k multiplicity space of M_{x1} x M_{x2}.
 
     Defined for non-integral x1 > x2 and k >= 0; the pair must be generic,
-    i.e. x1 + x2 is allowed to be integral only when negative.  Piecewise in
-    k, with one self-recursive branch that shifts x2 below zero; the additive
-    correction in that branch is 0 or -2 depending on whether the fractional
-    parts of x1 and x2 sum to less or more than 1.
+    i.e. x1 + x2 is allowed to be integral only when negative.  This is the
+    signature formula at n = 2: the sign of
+    (x2 choose k) / (x1 choose k) * (x1 + x2 + 1 - k choose k) at q = 1.
     """
     x1 = _ensure_nonintegral(fractionize(x1), "x1")
     x2 = _ensure_nonintegral(fractionize(x2), "x2")
@@ -103,41 +102,7 @@ def two_factor_sign(x1: RationalLike, x2: RationalLike, k: int) -> int:
         raise DomainError(f"x1 + x2 = {s} is a nonnegative integer (not generic)")
     if k < 0:
         raise DomainError("level k must be nonnegative")
-    return _two_factor_sign(x1, x2, k)
-
-
-def _two_factor_sign(x1: Fraction, x2: Fraction, k: int) -> int:
-    s = x1 + x2
-    if x1 < 0:  # 0 > x1 > x2
-        return -1 if k % 2 else 1
-    if x2 < 0 and s < 0:
-        return q_binomial_sign(x1, k)
-    if x2 < 0:  # x1 > 0 > x2 with x1 + x2 > 0
-        half_up = math.ceil(s / 2)
-        half1_up = math.ceil((s + 1) / 2)
-        if k <= math.floor(s / 2):
-            return (-1) ** k
-        if k <= math.floor((s + 1) / 2):
-            return (-1) ** half_up
-        if k <= math.ceil(s):
-            return (-1) ** (half_up + half1_up + k)
-        if k <= math.ceil(x1):
-            return 1
-        return (-1) ** (k - math.ceil(x1))
-    # x1 > x2 > 0
-    c1, c2 = math.ceil(x1), math.ceil(x2)
-    if k <= math.floor(x2):
-        return 1
-    # The plain-recursion range must extend to floor(x1+x2) - floor(x2): when
-    # the fractional parts sum past 1 this is ceil(x1), one more than
-    # floor(x1), and stopping early would push the -2 correction onto a level
-    # where it produces |sign| = 3.  Verified against exact peeling.
-    if k <= max(c2, math.floor(s) - math.floor(x2)):
-        return _two_factor_sign(x1, x2 - 2 * c2, k - c2)
-    if k <= c1 + c2:
-        correction = 2 * (math.floor(x1) + math.floor(x2) - math.floor(s))
-        return _two_factor_sign(x1, x2 - 2 * c2, k - c2) + correction
-    return (-1) ** (k - c1 - c2)
+    return multiplicity_signature((x1, x2), k)
 
 
 def default_level_bound(t: ExplicitType) -> int:
@@ -146,8 +111,8 @@ def default_level_bound(t: ExplicitType) -> int:
 
 
 def _pair_representatives(t: ExplicitType) -> tuple[Fraction, Fraction]:
-    # Any fractional parts consistent with the floor data give the same signs;
-    # only floor(x1 + x2) = total_floor enters the branch tests.
+    # Any fractional parts consistent with the floor data give the same signs:
+    # the n = 2 formula reads only the floors of x1, x2 and x1 + x2.
     f1, f2 = t.factor_floors
     carry = t.total_floor - (f1 + f2)
     if carry == 0:

@@ -158,52 +158,55 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_quantum(args) -> int:
+    # each mode rejects the flags that only the other mode reads
+    if args.q1:
+        mode, unused = "--q1", {"-m": args.m, "--a": args.a, "--t": args.t}
+        unused["--all-levels"] = args.all_levels or None
+    else:
+        mode, unused = "generic-q", {"--weights": args.weights, "--max-level": args.max_level}
+    given = [flag for flag, value in unused.items() if value is not None]
+    if given:
+        raise UsageError(f"{mode} mode does not use {', '.join(given)}")
     if args.q1:
         if args.weights is None or args.max_level is None:
             raise UsageError("--q1 needs --weights and --max-level")
+        if args.max_level < 0:
+            raise UsageError("--max-level must be nonnegative")
         weights = _parse_rational_list(args.weights)
-        rows = []
-        for m in range(args.max_level + 1):
-            rows.append(
-                {
-                    "m": m,
-                    "sgn": multiplicity_signature(weights, m, None),
-                    "dim": multiplicity_dim(len(weights), m),
-                }
-            )
-        report = {
-            "command": "quantum",
-            "version": __version__,
-            "config": {
-                "mode": "q1",
-                "weights": [_rat_str(w) for w in weights],
-                "max_level": args.max_level,
-            },
+        rows = [
+            {
+                "m": m,
+                "sgn": multiplicity_signature(weights, m, None),
+                "dim": multiplicity_dim(len(weights), m),
+            }
+            for m in range(args.max_level + 1)
+        ]
+        config = {
+            "mode": "q1",
+            "weights": [_rat_str(w) for w in weights],
+            "max_level": args.max_level,
         }
-        _emit(report, rows, ["m", "sgn", "dim"], args)
-        return 0
-
-    if args.a is None or args.t is None:
-        raise UsageError("generic-q mode needs --a and --t")
-    for piece in args.a.split(","):
-        piece = piece.strip()
-        if piece and not piece.lstrip("+").isdigit():
-            raise UsageError(f"--a expects nonnegative integers, got {piece!r}")
-    a = _parse_int_list(args.a)
-    t = _parse_rational(args.t)
-    try:
-        qp = QParam(t.numerator, t.denominator)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
-    if args.all_levels:
-        levels = list(range(sum(a) // 2 + 1))
-    elif args.m is not None:
-        levels = [args.m]
+        columns = ["m", "sgn", "dim"]
     else:
-        raise UsageError("give -m or --all-levels")
-    rows = []
-    for m in levels:
-        rows.append(
+        if args.a is None or args.t is None:
+            raise UsageError("generic-q mode needs --a and --t")
+        for piece in args.a.split(","):
+            piece = piece.strip()
+            if piece and not piece.lstrip("+").isdigit():
+                raise UsageError(f"--a expects nonnegative integers, got {piece!r}")
+        a = _parse_int_list(args.a)
+        t = _parse_rational(args.t)
+        try:
+            qp = QParam(t.numerator, t.denominator)
+        except DomainError as exc:
+            raise UsageError(str(exc)) from None
+        if args.all_levels:
+            levels = list(range(sum(a) // 2 + 1))
+        elif args.m is not None:
+            levels = [args.m]
+        else:
+            raise UsageError("give -m or --all-levels")
+        rows = [
             {
                 "a": "+".join(str(x) for x in a),
                 "m": m,
@@ -211,13 +214,12 @@ def _cmd_quantum(args) -> int:
                 "sgn": multiplicity_signature(a, m, qp),
                 "dim": crystal_multiplicity(a, m),
             }
-        )
-    report = {
-        "command": "quantum",
-        "version": __version__,
-        "config": {"mode": "generic", "a": a, "t": _rat_str(t), "levels": levels},
-    }
-    _emit(report, rows, ["a", "m", "t", "sgn", "dim"], args)
+            for m in levels
+        ]
+        config = {"mode": "generic", "a": a, "t": _rat_str(t), "levels": levels}
+        columns = ["a", "m", "t", "sgn", "dim"]
+    report = {"command": "quantum", "version": __version__, "config": config}
+    _emit(report, rows, columns, args)
     return 0
 
 

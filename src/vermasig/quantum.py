@@ -1,12 +1,14 @@
 """Quantum integer/binomial signs at unit-circle q and multiplicity signatures.
 
-Signs of quantum integers [k] = sin(k*pi*t)/sin(pi*t) at q = e^{i*pi*t} are
-computed by integer arithmetic on k*p mod 2D for t = p/D, so the combinatorial
-signature formula for tensor products of the (a+1)-dimensional simple modules
-is exact.  The same formula evaluated at q = 1 with rational arguments gives
-Verma-module multiplicity signatures.  A separate floating-point path builds
-the actual highest weight vectors and the coboundary-twisted form on a
-two-factor product to verify the closed form the signature formula rests on.
+Signs of quantum integers [y] = sin(y*pi*t)/sin(pi*t) at q = e^{i*pi*t}, t = p/D,
+are computed by integer arithmetic on y*den*p mod 2*den*D for y with
+denominator den, so the combinatorial signature formula is exact: for tensor
+products of the (a+1)-dimensional simple modules, and at q = 1 with rational
+arguments for Verma-module multiplicity signatures.  One kernel signs every
+binomial, at q = 1 and at generic q, from its top's floor and remainder.
+A separate floating-point path builds the actual highest weight vectors and
+the coboundary-twisted form on a two-factor product to verify the closed
+form the signature formula rests on.
 """
 
 from __future__ import annotations
@@ -58,62 +60,49 @@ class QParam:
         return cmath.exp(1j * math.pi * float(self.t) * float(exponent))
 
 
+def _bracket_sign(y: int, den: int, qp: QParam) -> int:
+    # sign of [y/den] = sin(pi*t*y/den)/sin(pi*t): reduce y*p modulo 2*den*D
+    period = den * qp.denom
+    r = (y * qp.numer) % (2 * period)
+    if r % period == 0:
+        raise RootOfUnityError(f"[{Fraction(y, den)}] vanishes at t = {qp.t}")
+    return 1 if r < period else -1
+
+
 def q_int_sign(j: int, qp: QParam) -> int:
     """Exact sign of [j] at q = e^{i*pi*t}: reduce j*p modulo 2D."""
-    if j == 0:
-        raise RootOfUnityError("[0] = 0")
-    r = (j * qp.numer) % (2 * qp.denom)
-    if r % qp.denom == 0:
-        raise RootOfUnityError(f"[{j}] vanishes at t = {qp.t}")
-    return 1 if r < qp.denom else -1
+    return _bracket_sign(j, 1, qp)
 
 
-def _real_index_sign(y: Fraction, qp: QParam) -> int:
-    # sign of sin(y*pi*t) for rational y: reduce y*t modulo 2 exactly
-    r = (y * qp.t) % 2
-    if r.denominator == 1:
-        raise RootOfUnityError(f"[{y}] vanishes at t = {qp.t}")
-    return 1 if r < 1 else -1
-
-
-def _rational_binomial_sign(floor: int, integral: bool, bottom: int) -> int:
-    # sign of top(top-1)...(top-bottom+1)/bottom! at q = 1: 0 iff top is an integer
-    # in [0, bottom), else one flip per factor top - i with i > top
-    if integral and 0 <= floor < bottom:
+def _binomial_sign(floor: int, rem: int, bottom: int, den: int, qp: QParam | None) -> int:
+    # sign of (top choose bottom)_q for top = floor + rem/den with 0 <= rem < den;
+    # 0 iff top is an integer in [0, bottom)
+    if not rem and 0 <= floor < bottom:
         return 0
-    return -1 if (bottom - min(bottom, max(0, floor + 1))) % 2 else 1
+    if qp is None:
+        # q = 1: one flip per factor top - i with i > top
+        return -1 if (bottom - min(bottom, max(0, floor + 1))) % 2 else 1
+    # generic q: the product of the signs of [top - j + 1] / [j], in units of 1/den
+    y = floor * den + rem
+    sign = 1
+    for j in range(1, bottom + 1):
+        sign *= _bracket_sign(y - (j - 1) * den, den, qp) * _bracket_sign(j, 1, qp)
+    return sign
 
 
 def q_binomial_sign(top, bottom: int, qp: QParam | None = None) -> int:
     """Sign of the quantum binomial (top choose bottom)_q; 0 if it vanishes.
 
-    With qp=None the evaluation is at q = 1, where top may be any rational and
-    the binomial is the generalized one.  At generic q an integer top < 0 is
-    reduced through (l1 choose l2)_q = (-1)^{l2} (l2-l1-1 choose l2)_q; a
-    rational top at generic q uses signs of sin(y*pi*t) with real index y
-    (the Verma-weight extension of the integer case).
+    top may be any rational.  With qp=None the evaluation is at q = 1, where
+    the binomial is the generalized one.  At generic q it is the product of
+    [top - j + 1] / [j] over j = 1..bottom, with [y] = sin(y*pi*t)/sin(pi*t)
+    for rational y (the Verma-weight extension of the integer case).
     """
     if bottom < 0:
         raise DomainError("bottom index must be nonnegative")
-    if bottom == 0:
-        return 1
     top = fractionize(top)
-    if qp is None:
-        return _rational_binomial_sign(math.floor(top), top.denominator == 1, bottom)
-    if top.denominator == 1:
-        n = int(top)
-        if n < 0:
-            return (-1) ** bottom * q_binomial_sign(bottom - n - 1, bottom, qp)
-        if n < bottom:
-            return 0
-        sign = 1
-        for j in range(1, bottom + 1):
-            sign *= q_int_sign(n - j + 1, qp) * q_int_sign(j, qp)
-        return sign
-    sign = 1
-    for j in range(1, bottom + 1):
-        sign *= _real_index_sign(top - j + 1, qp) * q_int_sign(j, qp)
-    return sign
+    floor, rem = divmod(top.numerator, top.denominator)
+    return _binomial_sign(floor, rem, bottom, top.denominator, qp)
 
 
 def multiplicity_signature(
@@ -137,11 +126,12 @@ def multiplicity_signature(
     pos_m - neg_m.
 
     A step's sign depends only on (M_{j-1}, M_j), so the sum is a transfer
-    matrix: one vector over M = 0..m, updated n - 1 times.  At q = 1 it needs
-    only the floors and integrality of the A_j and a_j, read off integers
-    over a common denominator.  At generic q a state that a nonzero term
-    reaches stays live even if its terms cancel, so RootOfUnityError is
-    raised exactly where such a term meets a zero [k].
+    matrix: one vector over M = 0..m, updated n - 1 times.  Every binomial
+    top is an A_j or a_j shifted by an integer, so the step signs read the
+    floors and remainders of those over a common denominator, in integer
+    arithmetic at every q.  At generic q a state that a nonzero term reaches
+    stays live even if its terms cancel, so RootOfUnityError is raised
+    exactly where such a term meets a zero [k].
     """
     a = [fractionize(w) for w in weights]
     n = len(a)
@@ -151,30 +141,18 @@ def multiplicity_signature(
         raise DomainError("level must be nonnegative")
     if qp is not None and all(x.denominator == 1 for x in a) and any(x < 0 for x in a):
         raise DomainError("generic-q integer mode needs nonnegative weights")
-    if qp is None:
-        d = math.lcm(*(x.denominator for x in a))
-        scaled = [x.numerator * (d // x.denominator) for x in a]
-        prefix_cuts = [(v // d, v % d == 0) for v in itertools.accumulate(scaled, initial=0)]
-        weight_cuts = [(v // d, v % d == 0) for v in scaled]
+    d = math.lcm(*(x.denominator for x in a))
+    scaled = [x.numerator * (d // x.denominator) for x in a]
+    prefix_cuts = [divmod(v, d) for v in itertools.accumulate(scaled, initial=0)]
+    weight_cuts = [divmod(v, d) for v in scaled]
 
-        def step_sign(j: int, lo: int, hi: int) -> int:
-            (f1, w1), (f2, w2), (f3, w3) = prefix_cuts[j + 1], prefix_cuts[j], weight_cuts[j]
-            k = hi - lo
-            return (
-                _rational_binomial_sign(f1 + 1 - lo - hi, w1, k)
-                * _rational_binomial_sign(f2 - 2 * lo, w2, k)
-                * _rational_binomial_sign(f3, w3, k)
-            )
-
-    else:
-        prefix = list(itertools.accumulate(a, initial=Fraction(0)))
-
-        def step_sign(j: int, lo: int, hi: int) -> int:
-            # a binomial after a vanishing one is never evaluated, so it cannot raise
-            k = hi - lo
-            sign = q_binomial_sign(1 + prefix[j + 1] - lo - hi, k, qp)
-            sign = sign and sign * q_binomial_sign(prefix[j] - 2 * lo, k, qp)
-            return sign and sign * q_binomial_sign(a[j], k, qp)
+    def step_sign(j: int, lo: int, hi: int) -> int:
+        # a binomial after a vanishing one is never evaluated, so it cannot raise
+        (f1, r1), (f2, r2), (f3, r3) = prefix_cuts[j + 1], prefix_cuts[j], weight_cuts[j]
+        k = hi - lo
+        sign = _binomial_sign(f1 + 1 - lo - hi, r1, k, d, qp)
+        sign = sign and sign * _binomial_sign(f2 - 2 * lo, r2, k, d, qp)
+        return sign and sign * _binomial_sign(f3, r3, k, d, qp)
 
     # live prefix sums -> summed terms of the prefixes ending there
     states = {0: 1}
@@ -193,8 +171,13 @@ def crystal_multiplicity(a: Sequence[int], m: int) -> int:
     """Classical multiplicity of the weight-(sum(a) - 2m) simple summand.
 
     Counting lattice points: K(m) - K(m-1) with K(m) the number of integer
-    tuples 0 <= k_i <= a_i summing to m.  Meaningful for 0 <= m <= sum(a)/2.
+    tuples 0 <= k_i <= a_i summing to m, for 0 <= m <= sum(a)/2.  Above that
+    the summand does not exist and the multiplicity is 0.
     """
+    if m < 0 or any(x < 0 for x in a):
+        raise DomainError("need a nonnegative level and nonnegative weights")
+    if m > sum(a) // 2:
+        return 0
 
     def bounded_count(target: int) -> int:
         if target < 0:

@@ -19,6 +19,8 @@ from vermasig.classify import (
     representative_weights,
 )
 
+from closed_form_reference import two_factor_piecewise
+
 
 def test_explicit_type_validation():
     ExplicitType(1, (0, 0, -1))
@@ -104,6 +106,22 @@ def test_two_factor_sign_equals_peeling():
         for m in range(13):
             assert two_factor_sign(x1, x2, m) == dec.entry(m).signature
         trials += 1
+
+
+def test_two_factor_sign_matches_piecewise_grid():
+    checked = 0
+    for denom in (2, 3, 7):
+        xs = [F(n, denom) for n in range(-6 * denom + 1, 6 * denom) if n % denom]
+        for x1 in xs:
+            for x2 in xs:
+                s = x1 + x2
+                if x1 <= x2 or (s.denominator == 1 and s >= 0):
+                    continue
+                for k in range(16):
+                    want = two_factor_piecewise(x1, x2, k)
+                    assert two_factor_sign(x1, x2, k) == want, (x1, x2, k)
+                    checked += 1
+    assert checked == 40800
 
 
 def test_classify_all_negative():

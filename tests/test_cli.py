@@ -81,6 +81,37 @@ def test_quantum_generic_levels(capsys):
     assert all(abs(r["sgn"]) == 1 for r in report["rows"])
 
 
+def test_quantum_level_past_top_has_no_summand(capsys):
+    code, out, _ = run(capsys, ["quantum", "--a", "2,2", "--t", "1/23", "-m", "3", "--json"])
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert (row["m"], row["dim"], row["sgn"]) == (3, 0, 0)
+
+
+Q1 = ["quantum", "--q1", "--weights", "1/2,1/3", "--max-level", "2"]
+GENERIC_Q = ["quantum", "--a", "2,2", "--t", "1/23", "-m", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        Q1 + ["-m", "0"],
+        Q1 + ["--all-levels"],
+        Q1 + ["--a", "2,2"],
+        Q1 + ["--t", "1/23"],
+        GENERIC_Q + ["--weights", "1/2,1/3"],
+        GENERIC_Q + ["--max-level", "0"],
+        ["quantum", "--q1", "--weights", "1/2,1/3", "--max-level", "-1"],
+        ["decompose", "--weights", "1/2,1/3", "--max-level", "-1"],
+    ],
+)
+def test_quantum_rejects_unused_or_negative_flags(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_quantum_rejects_fractional_a(capsys):
     code, _, err = run(capsys, ["quantum", "--a", "3/2,2", "--t", "1/23", "--all-levels"])
     assert code == 2

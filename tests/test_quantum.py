@@ -22,7 +22,7 @@ from vermasig import (
 from vermasig.quantum import q_binomial_value, raising_action
 from vermasig.sigchar import is_generic
 
-from closed_form_reference import binomial_sign_loop, composition_sum
+from closed_form_reference import binomial_sign_loop, composition_sum, q_binomial_sign_loop
 
 
 def random_generic_tuple(rng, n, denoms=(3, 7, 10, 11, 13), span=40):
@@ -115,8 +115,6 @@ def test_multiplicity_signature_level0_and_bounds():
         sig = multiplicity_signature(a, m, qp)
         dim = math.comb(m + n - 2, n - 2)
         assert abs(sig) <= dim
-        # with no vanishing terms each composition contributes +-1
-        nonzero = crystal_multiplicity(a, m) if m <= sum(a) // 2 else None
         assert isinstance(sig, int)
 
 
@@ -182,6 +180,25 @@ def test_crystal_multiplicity_values():
     assert crystal_multiplicity([2, 2], 1) == 1
     assert crystal_multiplicity([2, 2], 2) == 1
     assert crystal_multiplicity([1, 1, 1], 1) == 2
+    assert crystal_multiplicity([2, 2], 3) == 0  # no weight -2 summand
+    with pytest.raises(DomainError):
+        crystal_multiplicity([2, 2], -1)
+    with pytest.raises(DomainError):
+        crystal_multiplicity([2, -1], 0)
+
+
+def test_signature_bounded_by_crystal_multiplicity_past_top_level():
+    # |sgn| <= dim with dim - sgn even, also above sum(a)//2 where dim is 0;
+    # D prime past every top keeps all quantum integers nonzero
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.choice([2, 3, 4])
+        a = [rng.randint(0, 5) for _ in range(n)]
+        qp = QParam(rng.choice([1, 2, 3, 5]), rng.choice([41, 53]))
+        for m in range(sum(a) + 3):
+            sig = multiplicity_signature(a, m, qp)
+            dim = crystal_multiplicity(a, m)
+            assert abs(sig) <= dim and (dim - sig) % 2 == 0, (a, m, qp)
 
 
 def test_hwv_small_case():
@@ -248,6 +265,22 @@ def test_verma_weight_extension_at_generic_q():
         for j in range(1, k + 1):
             value *= math.sin(float(top - j + 1) * math.pi * t) / math.sin(j * math.pi * t)
         assert q_binomial_sign(top, k, qp) == (1 if value > 0 else -1)
+
+
+def test_generic_q_binomial_sign_matches_loop():
+    # same sign, or RootOfUnityError from both
+    checked = raised = 0
+    for p, d in ((1, 5), (2, 7), (3, 8), (1, 23), (5, 47), (4, 9)):
+        qp = QParam(p, d)
+        for denom in (1, 2, 3, 7):
+            for numer in range(-40 * denom, 40 * denom + 1):
+                top = F(numer, denom)
+                for k in range(10):
+                    want = outcome(top, k, qp, q_binomial_sign_loop)
+                    assert outcome(top, k, qp, q_binomial_sign) == want, (top, k, qp)
+                    checked += 1
+                    raised += want is RootOfUnityError
+    assert checked == 1044 * 10 * 6 and raised
 
 
 def test_closed_binomial_sign_matches_loop():
