@@ -33,7 +33,7 @@ from .sigchar import (
     DomainError,
     InvariantError,
     RationalLike,
-    ensure_generic,
+    ensure_generic_tuple,
     fractionize,
     multiplicity_dim,
     peel_decompose,
@@ -93,9 +93,7 @@ class MasterConfig:
             raise DomainError("m must be positive")
 
     def require_generic(self) -> None:
-        for w in self.weights:
-            ensure_generic(w)
-        ensure_generic(sum(self.weights))
+        ensure_generic_tuple(self.weights)
 
     @property
     def n(self) -> int:
@@ -157,9 +155,8 @@ def bethe_residual(cfg: MasterConfig, t: Sequence[complex]) -> float:
     return float(np.max(np.abs(_bethe_equations(cfg, tv))))
 
 
-def _bethe_equations(cfg: MasterConfig, t: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
-    z = cfg.floats[0]
-    lam = cfg.floats[1] if lam is None else lam
+def _bethe_equations(cfg: MasterConfig, t: np.ndarray) -> np.ndarray:
+    z, lam, _ = cfg.floats
     dtz = t[:, None] - z[None, :]
     g = -np.sum(lam[None, :] / dtz, axis=1)
     if len(t) > 1:
@@ -171,9 +168,8 @@ def _bethe_equations(cfg: MasterConfig, t: np.ndarray, lam: np.ndarray | None = 
     return g
 
 
-def _bethe_jacobian(cfg: MasterConfig, t: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
-    z = cfg.floats[0]
-    lam = cfg.floats[1] if lam is None else lam
+def _bethe_jacobian(cfg: MasterConfig, t: np.ndarray) -> np.ndarray:
+    z, lam, _ = cfg.floats
     m = len(t)
     dtz = t[:, None] - z[None, :]
     jac = np.zeros((m, m), dtype=complex)

@@ -19,7 +19,9 @@ from fractions import Fraction
 _NEGATIVE_RATIONAL_LIST = re.compile(r"^-\d[\d/,.\-]*$")
 
 from . import __version__
-from .sigchar import DomainError, GenericityError, multiplicity_dim, peel_decompose
+from .sigchar import (
+    DomainError, GenericityError, ensure_generic_tuple, multiplicity_dim, peel_decompose,
+)
 from .classify import ExplicitType, classify_definite, default_level_bound, verify_type
 from .quantum import QParam, RootOfUnityError, crystal_multiplicity, multiplicity_signature
 from .bethe import FalsificationError, MasterConfig, bound_check, find_critical_points
@@ -62,41 +64,42 @@ def _rat_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _print(args, text: str) -> None:
+def _emit(args, command: str, config: dict, rows: list[dict], columns: list[str], **fields) -> None:
+    """Render the report once, print it, and append the same text to --out.
+
+    ``fields`` are extra report keys (``complete_up_to``, ``verified``); the
+    JSON report carries them all, the table shows only the verified line.
+    """
+    if args.json:
+        report = {"command": command, "version": __version__, "config": config, "rows": rows}
+        text = json.dumps({**report, **fields}, sort_keys=True)
+    else:
+        # config and version ride along as a comment line in the text formats
+        lines = [f"# vermasig {__version__} {json.dumps(config, sort_keys=True)}"]
+        if args.csv:
+            lines.append(",".join(columns))
+            lines += [",".join(str(row[c]) for c in columns) for row in rows]
+        else:
+            widths = {
+                c: max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c)
+                for c in columns
+            }
+            lines.append("  ".join(c.ljust(widths[c]) for c in columns))
+            lines += ["  ".join(str(row[c]).ljust(widths[c]) for c in columns) for row in rows]
+            if "verified" in fields:
+                lines.append(f"verified: {fields['verified']}")
+        text = "\n".join(lines)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "a", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
-def _emit(report: dict, rows: list[dict], columns: list[str], args) -> None:
-    if args.json:
-        report = dict(report)
-        report["rows"] = rows
-        _print(args, json.dumps(report, sort_keys=True))
-        return
-    # config and version ride along as a comment line in the text formats
-    header = f"# vermasig {report['version']} {json.dumps(report['config'], sort_keys=True)}"
-    if args.csv:
-        _print(args, header)
-        _print(args, ",".join(columns))
-        for row in rows:
-            _print(args, ",".join(str(row[c]) for c in columns))
-    else:
-        _print(args, header)
-        widths = {
-            c: max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c)
-            for c in columns
-        }
-        _print(args, "  ".join(c.ljust(widths[c]) for c in columns))
-        for row in rows:
-            _print(args, "  ".join(str(row[c]).ljust(widths[c]) for c in columns))
-
-
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--csv", action="store_true", help="emit CSV rows")
-    parser.add_argument("--out", help="also append the report to this file")
+    formats = parser.add_mutually_exclusive_group()
+    formats.add_argument("--json", action="store_true", help="emit a JSON report")
+    formats.add_argument("--csv", action="store_true", help="emit CSV rows")
+    parser.add_argument("--out", help="also append the report, as printed, to this file")
 
 
 def _cmd_decompose(args) -> int:
@@ -114,12 +117,8 @@ def _cmd_decompose(args) -> int:
                 "definite": e.is_definite,
             }
         )
-    report = {
-        "command": "decompose",
-        "version": __version__,
-        "config": {"weights": [_rat_str(w) for w in weights], "max_level": args.max_level},
-    }
-    _emit(report, rows, ["m", "pos", "neg", "sgn", "dim", "definite"], args)
+    config = {"weights": [_rat_str(w) for w in weights], "max_level": args.max_level}
+    _emit(args, "decompose", config, rows, ["m", "pos", "neg", "sgn", "dim", "definite"])
     return 0
 
 
@@ -136,25 +135,17 @@ def _cmd_classify(args) -> int:
     bound = args.bound if args.bound is not None else default_level_bound(etype)
     report_obj = classify_definite(etype, bound)
     rows = [{"level": lv, "sign": s} for lv, s in report_obj.entries]
-    report = {
-        "command": "classify",
-        "version": __version__,
-        "config": {
-            "total_floor": etype.total_floor,
-            "factor_floors": list(etype.factor_floors),
-            "bound": bound,
-            "seed": args.seed,
-        },
-        "complete_up_to": report_obj.complete_up_to,
+    config = {
+        "total_floor": etype.total_floor,
+        "factor_floors": list(etype.factor_floors),
+        "bound": bound,
+        "seed": args.seed,
     }
-    verified = None
+    fields = {"complete_up_to": report_obj.complete_up_to}
     if args.verify:
-        verified = verify_type(etype, bound, random.Random(args.seed))
-        report["verified"] = verified
-    _emit(report, rows, ["level", "sign"], args)
-    if not (args.json or args.csv) and verified is not None:
-        print(f"verified: {verified}")
-    return 0 if verified in (None, True) else 1
+        fields["verified"] = verify_type(etype, bound, random.Random(args.seed))
+    _emit(args, "classify", config, rows, ["level", "sign"], **fields)
+    return 0 if fields.get("verified", True) else 1
 
 
 def _cmd_quantum(args) -> int:
@@ -172,7 +163,7 @@ def _cmd_quantum(args) -> int:
             raise UsageError("--q1 needs --weights and --max-level")
         if args.max_level < 0:
             raise UsageError("--max-level must be nonnegative")
-        weights = _parse_rational_list(args.weights)
+        weights = ensure_generic_tuple(_parse_rational_list(args.weights))
         rows = [
             {
                 "m": m,
@@ -196,10 +187,7 @@ def _cmd_quantum(args) -> int:
                 raise UsageError(f"--a expects nonnegative integers, got {piece!r}")
         a = _parse_int_list(args.a)
         t = _parse_rational(args.t)
-        try:
-            qp = QParam(t.numerator, t.denominator)
-        except DomainError as exc:
-            raise UsageError(str(exc)) from None
+        qp = QParam(t.numerator, t.denominator)
         if args.all_levels:
             levels = list(range(sum(a) // 2 + 1))
         elif args.m is not None:
@@ -218,8 +206,7 @@ def _cmd_quantum(args) -> int:
         ]
         config = {"mode": "generic", "a": a, "t": _rat_str(t), "levels": levels}
         columns = ["a", "m", "t", "sgn", "dim"]
-    report = {"command": "quantum", "version": __version__, "config": config}
-    _emit(report, rows, columns, args)
+    _emit(args, "quantum", config, rows, columns)
     return 0
 
 
@@ -286,19 +273,15 @@ def _cmd_bethe(args) -> int:
             failures += 1
         else:
             rows.append(outcome)
-    report = {
-        "command": "bethe",
-        "version": __version__,
-        "config": {
-            "weights": [_rat_str(w) for w in weights],
-            "z": [_rat_str(v) for v in z],
-            "levels": levels,
-            "seed": args.seed,
-        },
+    config = {
+        "weights": [_rat_str(w) for w in weights],
+        "z": [_rat_str(v) for v in z],
+        "levels": levels,
+        "seed": args.seed,
     }
     # JSON carries every row field; the text formats show these columns
     cols = ["m", "dim", "abs_sgn", "n_real", "n_roots_found", "n_roots_real"]
-    _emit(report, rows, cols, args)
+    _emit(args, "bethe", config, rows, cols)
     return 1 if failures else 0
 
 

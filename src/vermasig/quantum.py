@@ -179,22 +179,18 @@ def crystal_multiplicity(a: Sequence[int], m: int) -> int:
     if m > sum(a) // 2:
         return 0
 
-    def bounded_count(target: int) -> int:
-        if target < 0:
-            return 0
-        counts = [1] + [0] * target
-        for bound in a:
-            new = [0] * (target + 1)
-            running = 0
-            for s in range(target + 1):
-                running += counts[s]
-                if s - bound - 1 >= 0:
-                    running -= counts[s - bound - 1]
-                new[s] = running
-            counts = new
-        return counts[target]
-
-    return bounded_count(m) - bounded_count(m - 1)
+    # counts[s] = K(s) for s <= m, one bounded factor at a time
+    counts = [1] + [0] * m
+    for bound in a:
+        new = [0] * (m + 1)
+        running = 0
+        for s in range(m + 1):
+            running += counts[s]
+            if s - bound - 1 >= 0:
+                running -= counts[s - bound - 1]
+            new[s] = running
+        counts = new
+    return counts[m] - (counts[m - 1] if m else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,8 @@ def multiplicity_dim(n: int, m: int) -> int:
     return math.comb(m + n - 2, n - 2)
 
 
-def _ensure_generic_tuple(lams: Iterable[RationalLike]) -> list[Fraction]:
+def ensure_generic_tuple(lams: Iterable[RationalLike]) -> list[Fraction]:
+    """At least two weights, each of them and their sum generic, as Fractions."""
     out = [ensure_generic(l) for l in lams]
     if len(out) < 2:
         raise DomainError("need at least two tensor factors")
@@ -228,7 +229,7 @@ def peel_decompose(lams: Sequence[RationalLike], depth: int) -> Decomposition:
     Dimension and nonnegativity of every entry are hard internal checks: a
     failure means an arithmetic bug, not bad input.
     """
-    lams = _ensure_generic_tuple(lams)
+    lams = ensure_generic_tuple(lams)
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     n = len(lams)
@@ -277,7 +278,7 @@ def asymptotic_signature(lams: Sequence[RationalLike], m: int) -> int:
     sufficiently large m; callers locate the threshold by comparing against
     peel_decompose.
     """
-    lams = _ensure_generic_tuple(lams)
+    lams = ensure_generic_tuple(lams)
     n = len(lams)
     total = 0
     for i, c in enumerate(_numerator_product(lams)):

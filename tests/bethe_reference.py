@@ -1,5 +1,9 @@
 """References used only by the tests, independent of the code they check.
 
+Nothing numeric is shared with ``vermasig.bethe``: the Bethe equations, their
+Jacobian, the Newton polish and the realness test are this module's own
+copies, so the two pipelines polish and classify points independently.
+
 ``bethe_vector_closed_form`` expands a Bethe vector as an exponential-time
 assignment sum.  ``search_critical_points`` finds critical points by a
 numeric search that takes no input from the Gaudin spectrum: multistart
@@ -14,18 +18,78 @@ import math
 
 import numpy as np
 
-from vermasig.bethe import (
-    CriticalPoint,
-    MasterConfig,
-    _bethe_equations,
-    _bethe_jacobian,
-    _is_real_poly,
-    _polish,
-    _too_close,
-)
+from vermasig.bethe import CriticalPoint, MasterConfig
 from vermasig.shapovalov import compositions
 
 from closed_form_reference import lex_compositions
+
+
+def _bethe_equations(cfg: MasterConfig, t: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
+    """sum_{j != i} 2/(t_i - t_j) - sum_k lam_k/(t_i - z_k); lam defaults to cfg's."""
+    z = cfg.floats[0]
+    lam = cfg.floats[1] if lam is None else lam
+    dtz = t[:, None] - z[None, :]
+    g = -np.sum(lam[None, :] / dtz, axis=1)
+    if len(t) > 1:
+        dtt = t[:, None] - t[None, :]
+        np.fill_diagonal(dtt, 1.0)
+        inv = 2.0 / dtt
+        np.fill_diagonal(inv, 0.0)
+        g = g + np.sum(inv, axis=1)
+    return g
+
+
+def _bethe_jacobian(cfg: MasterConfig, t: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
+    z = cfg.floats[0]
+    lam = cfg.floats[1] if lam is None else lam
+    m = len(t)
+    dtz = t[:, None] - z[None, :]
+    jac = np.zeros((m, m), dtype=complex)
+    if m > 1:
+        dtt = t[:, None] - t[None, :]
+        np.fill_diagonal(dtt, 1.0)
+        off = 2.0 / dtt**2
+        np.fill_diagonal(off, 0.0)
+        jac += off
+        np.fill_diagonal(jac, -np.sum(off, axis=1))
+    jac[np.diag_indices(m)] += np.sum(lam[None, :] / dtz**2, axis=1)
+    return jac
+
+
+def _is_real_poly(coeffs: np.ndarray, tol: float) -> bool:
+    """Every coefficient has |imag| <= tol (1 + |coefficient|)."""
+    return bool(np.all(np.abs(coeffs.imag) <= tol * (1.0 + np.abs(coeffs))))
+
+
+def _too_close(cfg: MasterConfig, t: np.ndarray) -> bool:
+    """Some t_i sits on a z_k or on another t_j, relative to the tuple's size."""
+    scale = 1.0 + float(np.max(np.abs(t)))
+    z = cfg.floats[0]
+    if np.min(np.abs(t[:, None] - z[None, :])) < 1e-13 * scale:
+        return True
+    if cfg.m > 1:
+        dtt = np.abs(t[:, None] - t[None, :]) + np.eye(cfg.m)
+        if np.min(dtt) < 1e-13 * scale:
+            return True
+    return False
+
+
+def _polish(cfg: MasterConfig, t: np.ndarray, rounds: int = 4) -> tuple[np.ndarray, float]:
+    """Plain Newton at cfg's weights, keeping the iterate of least residual."""
+    best, best_res = t, float(np.max(np.abs(_bethe_equations(cfg, t))))
+    for _ in range(rounds):
+        try:
+            step = np.linalg.solve(_bethe_jacobian(cfg, t), -_bethe_equations(cfg, t))
+        except np.linalg.LinAlgError:
+            break
+        t = t + step
+        if not np.all(np.isfinite(t)) or _too_close(cfg, t):
+            break
+        res = float(np.max(np.abs(_bethe_equations(cfg, t))))
+        if res >= best_res:
+            break
+        best, best_res = t, res
+    return best, best_res
 
 
 def bethe_vector_closed_form(cfg, t):

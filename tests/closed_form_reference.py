@@ -32,7 +32,7 @@ from vermasig.sigchar import (
     DomainError,
     InvariantError,
     SCoeff,
-    _ensure_generic_tuple,
+    ensure_generic_tuple,
     fractionize,
     multiplicity_dim,
     multiply,
@@ -203,7 +203,7 @@ def greedy_peel(lams, depth: int) -> Decomposition:
     coefficient of ch(M_{lam-2m}), so subtracting its shifted multiple zeroes
     level m exactly.
     """
-    lams = _ensure_generic_tuple(lams)
+    lams = ensure_generic_tuple(lams)
     n = len(lams)
     total = sum(lams)
     product = reduce(multiply, (verma_character(l, depth) for l in lams))

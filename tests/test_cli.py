@@ -103,6 +103,9 @@ GENERIC_Q = ["quantum", "--a", "2,2", "--t", "1/23", "-m", "1"]
         GENERIC_Q + ["--max-level", "0"],
         ["quantum", "--q1", "--weights", "1/2,1/3", "--max-level", "-1"],
         ["decompose", "--weights", "1/2,1/3", "--max-level", "-1"],
+        # non-generic weights: a weight, or the sum, is a nonnegative integer
+        ["quantum", "--q1", "--weights", "1,2", "--max-level", "2"],
+        ["quantum", "--q1", "--weights", "1/2,1/2", "--max-level", "2"],
     ],
 )
 def test_quantum_rejects_unused_or_negative_flags(capsys, argv):
@@ -155,7 +158,23 @@ def test_bethe_sweep_csv(capsys, tmp_path):
     for line in lines[2:]:
         m, dim, abs_sgn, n_real, found, real = line.split(",")
         assert dim == abs_sgn == n_real == found == real
-    assert out_path.read_text().strip() == out.strip()
+    assert out_path.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--type", "4,1,1,1,1", "--verify"],
+        ["decompose", "--weights", "5/2,-7/10", "--max-level", "3", "--json"],
+    ],
+)
+def test_out_file_matches_stdout(capsys, tmp_path, argv):
+    out_path = tmp_path / "report.txt"
+    code, out, _ = run(capsys, argv + ["--out", str(out_path)])
+    assert code == 0
+    assert out_path.read_text() == out
+    if "--verify" in argv:
+        assert out.endswith("verified: True\n")
 
 
 SWEEP = ["bethe", "--weights", "-1/2,-3/4,-7/5", "--z", "0,1,3", "--sweep", "m=1..2", "--json"]
@@ -202,6 +221,11 @@ def test_bethe_pool_never_outnumbers_jobs(capsys, monkeypatch, threads, sizes):
     [
         SWEEP + ["-m", "2"],
         ["quantum", "--a", "2,2", "--t", "1/23", "-m", "1", "--all-levels"],
+        # one report format: --json and --csv exclude each other everywhere
+        ["decompose", "--weights", "-1/2,-1/2", "--max-level", "2", "--json", "--csv"],
+        ["classify", "--type", "1,0,0,-1", "--json", "--csv"],
+        GENERIC_Q + ["--json", "--csv"],
+        SWEEP + ["--csv"],
     ],
 )
 def test_either_or_level_flags_reject_both(capsys, argv):
