@@ -55,21 +55,22 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def nullspace(mat: Sequence[Sequence[Fraction]], ncols: int) -> Matrix:
-    """Exact kernel basis, one vector per free column of the reduced echelon form.
+def nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Exact kernel of integer rows (eliminated in place), one vector per free column.
 
     The vector of free column f has 1 at f and minus the RREF entry of column
-    f at each pivot column, so the basis is canonical for the matrix.
+    f at each pivot column, so the basis is canonical for the matrix.  It is
+    returned as (s, u): u = s * vector is integral, with s > 0 the least such.
     """
-    rows = [_integer_row(row)[1] for row in mat]
     pivots = _gauss_jordan(rows, ncols)
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        scale = math.lcm(*(row[pc] // math.gcd(row[f], row[pc]) for row, pc in zip(rows, pivots)))
+        vec = [0] * ncols
+        vec[f] = scale
         for row, pc in zip(rows, pivots):
-            vec[pc] = Fraction(-row[f], row[pc])
-        basis.append(vec)
+            vec[pc] = -row[f] * scale // row[pc]
+        basis.append((scale, tuple(vec)))
     return basis
 
 
@@ -92,29 +93,15 @@ def express_in_basis(
     return [[Fraction(rows[u][r + v], rows[u][u]) for u in range(r)] for v in range(k)]
 
 
-def gram(
-    vectors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]
-) -> tuple[Matrix, bool]:
-    """Gram matrix of the form diag(weights) on ``vectors``, and whether it is singular.
-
-    Vector u is cleared to s[u] times an integer vector and the weights to D
-    times integers; the integer Gram matrix G is built once (upper triangle,
-    mirrored), its singularity decided by integer elimination, and the
-    rational entry (u, v) is G[u][v] / (s[u] * s[v] * D).
-    """
-    dscale, w = _integer_row(weights)
-    cleared = [_integer_row(vec) for vec in vectors]
-    size = len(cleared)
+def gram(vectors: Sequence[Sequence[int]], weights: Sequence[int]) -> list[list[int]]:
+    """Integer Gram matrix G[u][v] = sum_k vectors[u][k] * weights[k] * vectors[v][k]."""
+    size = len(vectors)
     g = [[0] * size for _ in range(size)]
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    for i, (si, ui) in enumerate(cleared):
-        weighted = list(map(mul, ui, w))
+    for i, ui in enumerate(vectors):
+        weighted = list(map(mul, ui, weights))
         for j in range(i, size):
-            sj, uj = cleared[j]
-            g[i][j] = g[j][i] = x = sum(map(mul, weighted, uj))
-            entries[i][j] = entries[j][i] = Fraction(x, si * sj * dscale)
-    singular = len(_gauss_jordan(g, size)) < size
-    return entries, singular
+            g[i][j] = g[j][i] = sum(map(mul, weighted, vectors[j]))
+    return g
 
 
 def inertia(entries: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
@@ -123,13 +110,15 @@ def inertia(entries: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
     Symmetric pivoting on the diagonal; when every remaining diagonal entry
     vanishes, adding row and column j to row and column i exposes 2*a[i][j]
     as a pivot.  Row i is held as integers over a positive denominator, so
-    every zero test and pivot sign is read off the integers.  Raises
-    DomainError on singular input.
+    every zero test and pivot sign is read off the integers.  The numerators
+    are first divided by their common gcd, a positive scalar that keeps the
+    inertia.  Raises DomainError on singular input.
     """
     size = len(entries)
     cleared = [_integer_row(row) for row in entries]
     dens = [s for s, _ in cleared]
-    a = [row for _, row in cleared]
+    content = math.gcd(*(math.gcd(*row) for _, row in cleared)) or 1
+    a = [[x // content for x in row] for _, row in cleared]
 
     def swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]

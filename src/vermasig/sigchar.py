@@ -47,10 +47,10 @@ def is_generic(lam: RationalLike) -> bool:
     return not (lam.denominator == 1 and lam >= 0)
 
 
-def ensure_generic(lam: RationalLike) -> Fraction:
+def ensure_generic(lam: RationalLike, name: str = "weight") -> Fraction:
     lam = fractionize(lam)
     if not is_generic(lam):
-        raise GenericityError(f"weight {lam} is a nonnegative integer")
+        raise GenericityError(f"{name} {lam} is a nonnegative integer")
     return lam
 
 
@@ -197,7 +197,7 @@ def ensure_generic_tuple(lams: Iterable[RationalLike]) -> list[Fraction]:
     out = [ensure_generic(l) for l in lams]
     if len(out) < 2:
         raise DomainError("need at least two tensor factors")
-    ensure_generic(sum(out))
+    ensure_generic(sum(out), "total weight")
     return out
 
 

@@ -2,9 +2,9 @@
 
 This is the elimination the library used before its integer core: plain
 Gauss-Jordan and congruence diagonalization on ``fractions.Fraction``
-entries, Gram entries as sums of Fraction products, and the diagonal of the
-product form with each factor norm multiplied out per composition.  The tests
-require the library to return exactly these values.
+entries, the raising matrix and the diagonal of the product form with each
+factor multiplied out in Fractions, and Gram entries as sums of Fraction
+products.  The tests require the library to return exactly these values.
 """
 
 from __future__ import annotations
@@ -74,6 +74,21 @@ def express_in_basis(targets, basis):
         if any(row[r:][v] != 0 for v in range(k)):
             return None
     return coords
+
+
+def raising_matrix(lams, src, dst):
+    """E from the compositions src of m to the compositions dst of m - 1.
+
+    E sends the basis vector k to sum_i k_i (lam_i - k_i + 1) times the basis
+    vector k - e_i, the raising operator acting factorwise.
+    """
+    mat = [[Fraction(0)] * len(src) for _ in dst]
+    for c, comp in enumerate(src):
+        for i, k in enumerate(comp):
+            if k:
+                target = comp[:i] + (k - 1,) + comp[i + 1 :]
+                mat[dst.index(target)][c] = k * (Fraction(lams[i]) - k + 1)
+    return mat
 
 
 def weight_space_norms(lams, comps):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vermasig
 from vermasig import bethe, cli
 from vermasig.cli import main
 
@@ -288,3 +292,44 @@ def test_bethe_finds_every_point(capsys, weights, z, m, seed):
 def test_usage_error_on_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--weights", "1/2,1/2", "--max-level", "2"],
+        ["quantum", "--q1", "--weights", "1/2,1/2", "--max-level", "2"],
+    ],
+)
+def test_nongeneric_total_is_named(capsys, argv):
+    # neither weight is 1; their sum is
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: total weight 1 is a nonnegative integer\n"
+
+
+def fresh_interpreter(argv):
+    """Exit code and stdout of one CLI call in a new Python process."""
+    src = os.path.dirname(os.path.dirname(vermasig.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    script = "import sys; from vermasig.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=False
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_repeated_main_calls_match_fresh_interpreters(capsys):
+    # main builds its parser once per process; no state may leak between calls
+    calls = [
+        ["bethe", "--weights", "23/10,17/10,-2/5", "--z", "0,1,3", "-m", "2", "--json"],
+        ["bethe", "--weights", "-1/2,-3/4,-7/5", "--z", "0,1,3", "--sweep", "m=1..2", "--csv"],
+        ["decompose", "--weights", "-1/2,-1/2", "--max-level", "3"],
+        ["bethe", "--weights", "1/2,1/3", "--z", "0,1"],  # argparse error: no level
+        ["decompose", "--weights", "-1/2,-1/2", "--max-level", "3", "--json", "--csv"],
+    ]
+    in_process = [run(capsys, argv)[:2] for argv in calls + calls[:1]]
+    fresh = [fresh_interpreter(argv) for argv in calls]
+    assert in_process == fresh + fresh[:1]
+    assert [code for code, _ in fresh] == [0, 0, 0, 2, 2]

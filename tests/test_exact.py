@@ -5,6 +5,7 @@ same kernel vectors, coordinates, Gram entries and inertia as plain Fraction
 elimination, not merely equivalent ones.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -55,18 +56,29 @@ def random_symmetric(rng, size, zero_diagonal=False):
     return a
 
 
+def rational_kernel(mat, ncols):
+    """exact.nullspace on the cleared rows of a rational matrix, as rational vectors."""
+    out = []
+    for scale, vec in exact.nullspace([exact._integer_row(row)[1] for row in mat], ncols):
+        rational = [F(x, scale) for x in vec]
+        # the scale is positive and the least one that makes the vector integral
+        assert scale > 0 and scale == math.lcm(*(x.denominator for x in rational))
+        out.append(rational)
+    return out
+
+
 def test_nullspace_matches_reference_on_random_matrices():
     rng = random.Random(2024)
     for _ in range(150):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
         mat = random_matrix(rng, nrows, ncols, rng.randint(1, min(nrows, ncols)))
-        assert exact.nullspace(mat, ncols) == ref.nullspace(mat, ncols), mat
+        assert rational_kernel(mat, ncols) == ref.nullspace(mat, ncols), mat
     zero = [[F(0)] * 4 for _ in range(3)]
-    assert exact.nullspace(zero, 4) == ref.nullspace(zero, 4)
+    assert rational_kernel(zero, 4) == ref.nullspace(zero, 4)
 
 
 def test_nullspace_of_no_rows_is_identity():
-    assert exact.nullspace([], 3) == ref.nullspace([], 3)
+    assert rational_kernel([], 3) == ref.nullspace([], 3)
 
 
 def test_express_in_basis_matches_reference():
@@ -133,13 +145,18 @@ def test_singular_input_is_detected():
         a = ref.matmul(half, [list(col) for col in zip(*half)])  # symmetric, rank < size
         with pytest.raises(DomainError):
             exact_signature(GramMatrix(tuple(map(tuple, a))))
-        assert exact.gram(half, [F(1)] * size)[1]
+        # the integer Gram of the same rank-deficient rows: inertia decides singularity
+        cleared = [exact._integer_row(row)[1] for row in half]
+        with pytest.raises(DomainError):
+            exact.inertia(exact.gram(cleared, [1] * size))
 
 
 def test_degenerate_form_raises_genericity_error():
     # (1/2, -1/2) has integral total 0: the level-1 form vanishes
     with pytest.raises(GenericityError):
         gram_on_multiplicity((F(1, 2), F(-1, 2)), 1)
+    with pytest.raises(GenericityError):
+        gaudin_system(MasterConfig((F(0), F(1)), (F(1, 2), F(-1, 2)), 1))
 
 
 def test_matmul_matches_reference():
@@ -174,19 +191,70 @@ def criterion2_instances():
 
 
 def test_oracle_matches_reference_on_criterion2_instances():
-    # inertia on these instances is checked against peeling by criterion 2
+    # inertia on these instances is also checked against peeling by criterion 2
     for lams, m in criterion2_instances():
         basis = singular_basis(lams, m)
         gram = gram_on_multiplicity(lams, m)
+        assert exact_signature(gram) == ref.inertia(gram.entries), (lams, m)
         if m == 0:
             assert basis.vectors == ((F(1),),) and gram.entries == ((F(1),),)
             continue
-        want = ref.nullspace(raising_matrix(basis.lams, m), len(compositions(m, len(lams))))
+        comps = compositions(m, len(lams))
+        emat = ref.raising_matrix(basis.lams, comps, compositions(m - 1, len(lams)))
+        assert raising_matrix(basis.lams, m) == emat, (lams, m)
+        want = ref.nullspace(emat, len(comps))
         assert [list(v) for v in basis.vectors] == want, (lams, m)
-        diag = ref.weight_space_norms(basis.lams, compositions(m, len(lams)))
+        diag = ref.weight_space_norms(basis.lams, comps)
         assert weight_space_norms(basis.lams, m) == diag, (lams, m)
         want_gram = ref.gram(want, diag)
         assert [list(row) for row in gram.entries] == want_gram, (lams, m)
+
+
+def census_like_configs():
+    """Six generic configs as the census draws them: n = 3, 4 with m <= 4."""
+    rng = random.Random(31)
+    out = []
+    for n, m in ((3, 1), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)):
+        lams = random_generic_tuple(rng, n, denoms=(7, 10, 11, 13), span=30)
+        z = [F(0)] + [F(k) + F(rng.randint(1, 9), 10) for k in range(1, n)]
+        out.append(MasterConfig(tuple(z), tuple(lams), m))
+    return out
+
+
+def test_gaudin_gram_carries_reference_inertia():
+    for cfg in census_like_configs():
+        gram = gaudin_system(cfg).gram
+        assert exact_signature(gram) == ref.inertia(gram.entries), cfg
+        # the carried inertia is the one a fresh elimination of the entries finds
+        assert exact_signature(GramMatrix(gram.entries)) == exact_signature(gram), cfg
+
+
+def test_one_elimination_per_gram(monkeypatch):
+    """The oracle runs Gauss-Jordan on the integer raising rows and one inertia, on integers."""
+    calls = {"inertia": [], "gauss_jordan": []}
+    real_inertia, real_gauss_jordan = exact.inertia, exact._gauss_jordan
+
+    def inertia(entries):
+        calls["inertia"].append([list(row) for row in entries])
+        return real_inertia(entries)
+
+    def gauss_jordan(rows, ncols):
+        calls["gauss_jordan"].append([list(row) for row in rows])
+        return real_gauss_jordan(rows, ncols)
+
+    monkeypatch.setattr(exact, "inertia", inertia)
+    monkeypatch.setattr(exact, "_gauss_jordan", gauss_jordan)
+    lams = (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7))
+    m = 3
+    got = exact_signature(gram_on_multiplicity(lams, m))
+    assert len(calls["gauss_jordan"]) == 1 and len(calls["inertia"]) == 1
+    # Gauss-Jordan sees D times the raising matrix, D = 70 the weights' common denominator
+    emat = ref.raising_matrix(lams, compositions(m, 4), compositions(m - 1, 4))
+    assert calls["gauss_jordan"][0] == [[70 * x for x in row] for row in emat]
+    # no Fraction reaches either elimination
+    for rows in calls["gauss_jordan"] + calls["inertia"]:
+        assert all(type(x) is int for row in rows for x in row)
+    assert got == ref.inertia(calls["inertia"][0])
 
 
 def test_gaudin_restriction_matches_reference():

@@ -15,7 +15,7 @@ from vermasig import (
     shapovalov_norm,
     singular_basis,
 )
-from vermasig.shapovalov import lowering_matrix, pair_vectors, raising_matrix
+from vermasig.shapovalov import raising_matrix, weight_space_norms
 from vermasig.sigchar import is_generic
 
 from closed_form_reference import lex_compositions
@@ -100,6 +100,14 @@ def test_exact_signature_basics():
     assert exact_signature(GramMatrix(((F(0), F(1)), (F(1), F(0))))) == (1, 1)
 
 
+def test_carried_inertia_matches_a_fresh_elimination():
+    gram = gram_on_multiplicity((F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 3)
+    plain = GramMatrix(gram.entries)
+    # the carried (pos, neg) is not part of equality; a hand-built matrix eliminates
+    assert plain == gram and plain.inertia is None
+    assert gram.inertia == exact_signature(plain) == exact_signature(gram)
+
+
 def test_exact_signature_errors():
     with pytest.raises(DomainError):
         exact_signature(GramMatrix(((F(0), F(0)), (F(0), F(0)))))
@@ -125,6 +133,21 @@ def test_exact_signature_random_congruence_invariance():
                 a[row][i] += c * a[row][j]
         want = (sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0))
         assert exact_signature(GramMatrix(tuple(tuple(r) for r in a))) == want
+
+
+def lowering_matrix(lams, m):
+    """F from level m to m + 1: composition k maps to the sum of k + e_i."""
+    src, dst = compositions(m, len(lams)), compositions(m + 1, len(lams))
+    mat = [[F(0)] * len(src) for _ in dst]
+    for c, comp in enumerate(src):
+        for i, k in enumerate(comp):
+            mat[dst.index(comp[:i] + (k + 1,) + comp[i + 1 :])][c] += 1
+    return mat
+
+
+def pair_vectors(lams, m, x, y):
+    """Product-form pairing of two coefficient vectors at level m."""
+    return sum(a * d * b for a, d, b in zip(x, weight_space_norms(lams, m), y))
 
 
 def test_contravariance():
