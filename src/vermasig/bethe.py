@@ -57,6 +57,10 @@ REAL_TOL = 1e-7
 RESIDUAL_TOL = 1e-10
 # fresh random combinations tried before a degenerate spectrum is an error
 SPECTRUM_RETRIES = 6
+# Newton steps a critical point's polish takes at most
+POLISH_ROUNDS = 4
+# a coordinate within this distance of a z or of another coordinate collides
+ARRANGEMENT_EPS = 1e-12
 
 
 class FalsificationError(RuntimeError):
@@ -116,17 +120,17 @@ class MasterConfig:
         return arrays
 
 
-def _check_arrangement(cfg: MasterConfig, t: Sequence[complex], eps: float = 1e-12) -> None:
+def _check_arrangement(cfg: MasterConfig, t: Sequence[complex]) -> None:
     tv = [complex(x) for x in t]
     if len(tv) != cfg.m:
         raise DomainError(f"expected {cfg.m} coordinates, got {len(tv)}")
     z = cfg.floats[0]
     for i, ti in enumerate(tv):
-        hits = np.flatnonzero(np.abs(ti - z) <= eps)
+        hits = np.flatnonzero(np.abs(ti - z) <= ARRANGEMENT_EPS)
         if hits.size:
             raise DomainError(f"t[{i}] collides with z = {cfg.z[hits[0]]}")
         for j in range(i + 1, len(tv)):
-            if abs(ti - tv[j]) <= eps:
+            if abs(ti - tv[j]) <= ARRANGEMENT_EPS:
                 raise DomainError(f"t[{i}] collides with t[{j}]")
 
 
@@ -152,36 +156,27 @@ def bethe_residual(cfg: MasterConfig, t: Sequence[complex]) -> float:
     """max_i |sum_{j != i} 2/(t_i-t_j) - sum_k lam_k/(t_i-z_k)|."""
     _check_arrangement(cfg, t)
     tv = np.asarray([complex(x) for x in t])
-    return float(np.max(np.abs(_bethe_equations(cfg, tv))))
+    return float(np.max(np.abs(_bethe_system(cfg, tv)[0])))
 
 
-def _bethe_equations(cfg: MasterConfig, t: np.ndarray) -> np.ndarray:
-    z, lam, _ = cfg.floats
-    dtz = t[:, None] - z[None, :]
-    g = -np.sum(lam[None, :] / dtz, axis=1)
-    if len(t) > 1:
-        dtt = t[:, None] - t[None, :]
-        np.fill_diagonal(dtt, 1.0)
-        inv = 2.0 / dtt
-        np.fill_diagonal(inv, 0.0)
-        g = g + np.sum(inv, axis=1)
-    return g
-
-
-def _bethe_jacobian(cfg: MasterConfig, t: np.ndarray) -> np.ndarray:
+def _bethe_system(cfg: MasterConfig, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Bethe equations g (as in bethe_residual) at t, and their Jacobian."""
     z, lam, _ = cfg.floats
     m = len(t)
     dtz = t[:, None] - z[None, :]
+    g = -np.sum(lam[None, :] / dtz, axis=1)
     jac = np.zeros((m, m), dtype=complex)
     if m > 1:
         dtt = t[:, None] - t[None, :]
         np.fill_diagonal(dtt, 1.0)
-        off = 2.0 / dtt**2
+        inv, off = 2.0 / dtt, 2.0 / dtt**2
+        np.fill_diagonal(inv, 0.0)
         np.fill_diagonal(off, 0.0)
+        g = g + np.sum(inv, axis=1)
         jac += off
         np.fill_diagonal(jac, -np.sum(off, axis=1))
     jac[np.diag_indices(m)] += np.sum(lam[None, :] / dtz**2, axis=1)
-    return jac
+    return g, jac
 
 
 @dataclass(frozen=True)
@@ -267,17 +262,20 @@ def find_critical_points(
     return points
 
 
-def _polish(cfg: MasterConfig, t: np.ndarray, rounds: int = 4) -> tuple[np.ndarray, float]:
-    best, best_res = t, float(np.max(np.abs(_bethe_equations(cfg, t))))
-    for _ in range(rounds):
+def _polish(cfg: MasterConfig, t: np.ndarray) -> tuple[np.ndarray, float]:
+    # one evaluation per iterate gives both its residual and its Newton step
+    g, jac = _bethe_system(cfg, t)
+    best, best_res = t, float(np.max(np.abs(g)))
+    for _ in range(POLISH_ROUNDS):
         try:
-            step = np.linalg.solve(_bethe_jacobian(cfg, t), -_bethe_equations(cfg, t))
+            step = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
             break
         t = t + step
         if not np.all(np.isfinite(t)) or _too_close(cfg, t):
             break
-        res = float(np.max(np.abs(_bethe_equations(cfg, t))))
+        g, jac = _bethe_system(cfg, t)
+        res = float(np.max(np.abs(g)))
         if res >= best_res:
             break
         best, best_res = t, res
@@ -292,32 +290,33 @@ def _polish(cfg: MasterConfig, t: np.ndarray, rounds: int = 4) -> tuple[np.ndarr
 def hamiltonian_matrices(cfg: MasterConfig, level: int | None = None) -> list[Matrix]:
     """Exact matrices of the n Gaudin Hamiltonians on a weight space.
 
-    H_i = sum_{j != i} (E_i F_j + F_i E_j + H_i H_j / 2)/(z_i - z_j), acting on
-    the composition basis F^{k_1}v_1 x ... x F^{k_n}v_n of the given level
-    (default: cfg.m).
+    H_i = sum_{j != i} Omega_ij/(z_i - z_j), Omega_ij = E_i F_j + F_i E_j + H_i H_j / 2,
+    acting on the composition basis F^{k_1}v_1 x ... x F^{k_n}v_n of the given
+    level (default: cfg.m).  Omega_ij = Omega_ji is built once per pair i < j.
     """
     n, m = cfg.n, cfg.m if level is None else level
     comps = compositions(m, n)
     index = {c: r for r, c in enumerate(comps)}
     lam, z = cfg.weights, cfg.z
-    mats = []
-    for i in range(n):
-        mat = [[Fraction(0)] * len(comps) for _ in comps]
+    mats = [[[Fraction(0)] * len(comps) for _ in comps] for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        w = 1 / (z[i] - z[j])
+        h_i, h_j = mats[i], mats[j]
         for c, comp in enumerate(comps):
-            for j in range(n):
-                if j == i:
-                    continue
-                w = 1 / (z[i] - z[j])
-                # E_i F_j, then F_i E_j: one unit moves from factor a to factor b
-                for a, b in ((i, j), (j, i)):
-                    k = comp[a]
-                    if k > 0:
-                        target = list(comp)
-                        target[a] -= 1
-                        target[b] += 1
-                        mat[index[tuple(target)]][c] += w * k * (lam[a] - k + 1)
-                mat[c][c] += w * (lam[i] - 2 * comp[i]) * (lam[j] - 2 * comp[j]) / 2
-        mats.append(mat)
+            # E_i F_j, then F_i E_j: one unit moves from factor a to factor b
+            for a, b in ((i, j), (j, i)):
+                k = comp[a]
+                if k > 0:
+                    target = list(comp)
+                    target[a] -= 1
+                    target[b] += 1
+                    r = index[tuple(target)]
+                    term = w * k * (lam[a] - k + 1)
+                    h_i[r][c] += term
+                    h_j[r][c] -= term
+            term = w * (lam[i] - 2 * comp[i]) * (lam[j] - 2 * comp[j]) / 2
+            h_i[c][c] += term
+            h_j[c][c] -= term
     return mats
 
 
@@ -396,18 +395,10 @@ def bethe_vector(cfg: MasterConfig, t: Sequence[complex]) -> np.ndarray:
     Coefficient vector over the level-m compositions in colex order.
     """
     _check_arrangement(cfg, t)
-    n = cfg.n
-    z = cfg.floats[0].tolist()
-    state: dict[tuple[int, ...], complex] = {(0,) * n: 1.0 + 0.0j}
+    state: dict[tuple[int, ...], complex] = {(0,) * cfg.n: 1.0 + 0.0j}
     for tj in t:
-        new: dict[tuple[int, ...], complex] = {}
-        for comp, coef in state.items():
-            for i in range(n):
-                target = comp[:i] + (comp[i] + 1,) + comp[i + 1 :]
-                new[target] = new.get(target, 0.0) + coef / (complex(tj) - z[i])
-        state = new
-    comps = compositions(cfg.m, n)
-    return np.array([state.get(c, 0.0) for c in comps])
+        state = _y_apply(cfg, complex(tj), state)
+    return np.array([state.get(c, 0.0) for c in compositions(cfg.m, cfg.n)])
 
 
 def raising_residual(cfg: MasterConfig, vec: np.ndarray) -> float:
@@ -513,8 +504,9 @@ def bound_check(cfg: MasterConfig, seed: int = 0) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _y_apply(cfg: MasterConfig, tval: Fraction, state: dict) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
+def _y_apply(cfg: MasterConfig, tval: Fraction | complex, state: dict) -> dict:
+    # Y(t) = sum_i F_i/(t - z_i); a complex t subtracts float(z_i), as cfg.floats holds
+    out: dict = {}
     for comp, coef in state.items():
         for i in range(cfg.n):
             target = comp[:i] + (comp[i] + 1,) + comp[i + 1 :]
@@ -552,24 +544,20 @@ def zy_commutator_check(
     for level in range(depth + 1):
         for comp in compositions(level, cfg.n):
             state = {comp: Fraction(1)}
-            lhs = _sub(
-                _z_apply(cfg, t_a, _y_apply(cfg, t_b, state)),
-                _y_apply(cfg, t_b, _z_apply(cfg, t_a, state)),
-            )
-            rhs = _scale(
-                _sub(_y_apply(cfg, t_a, state), _y_apply(cfg, t_b, state)), factor
-            )
-            if _sub(lhs, rhs):
+            if _combine(
+                (1, _z_apply(cfg, t_a, _y_apply(cfg, t_b, state))),
+                (-1, _y_apply(cfg, t_b, _z_apply(cfg, t_a, state))),
+                (-factor, _y_apply(cfg, t_a, state)),
+                (factor, _y_apply(cfg, t_b, state)),
+            ):
                 return False
     return True
 
 
-def _sub(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, v in y.items():
-        out[k] = out.get(k, Fraction(0)) - v
+def _combine(*terms: tuple[Fraction | int, dict]) -> dict:
+    """sum of coef * state over the (coef, state) terms, zero entries dropped."""
+    out: dict = {}
+    for coef, state in terms:
+        for k, v in state.items():
+            out[k] = out.get(k, Fraction(0)) + coef * v
     return {k: v for k, v in out.items() if v != 0}
-
-
-def _scale(x: dict, factor: Fraction) -> dict:
-    return {k: v * factor for k, v in x.items() if v * factor != 0}

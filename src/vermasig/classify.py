@@ -110,18 +110,6 @@ def default_level_bound(t: ExplicitType) -> int:
     return 2 * max(t.factor_floors[0], 0) + 6
 
 
-def _pair_representatives(t: ExplicitType) -> tuple[Fraction, Fraction]:
-    # Any fractional parts consistent with the floor data give the same signs:
-    # the n = 2 formula reads only the floors of x1, x2 and x1 + x2.
-    f1, f2 = t.factor_floors
-    carry = t.total_floor - (f1 + f2)
-    if carry == 0:
-        r1, r2 = Fraction(3, 5), Fraction(1, 5)
-    else:
-        r1, r2 = Fraction(4, 5), Fraction(3, 5)
-    return f1 + r1, f2 + r2
-
-
 def _merge(levels: dict[int, int], new: Sequence[tuple[int, int]]) -> None:
     for level, sign in new:
         if levels.get(level, sign) != sign:
@@ -190,7 +178,9 @@ def classify_definite(t: ExplicitType, level_bound: int | None = None) -> Defini
     if p == 0:
         _merge(levels, [(m, -1 if m % 2 else 1) for m in range(bound + 1)])
     elif n == 2:
-        x1, x2 = _pair_representatives(t)
+        # any fractional parts consistent with the floor data give the same
+        # signs: the n = 2 formula reads only the floors of x1, x2 and x1 + x2
+        x1, x2 = representative_weights(t)
         _merge(levels, [(m, two_factor_sign(x1, x2, m)) for m in range(bound + 1)])
     elif p == 1:
         # ceil(lam/2) = floor(total_floor/2) + 1 for non-integral lam; the

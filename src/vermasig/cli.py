@@ -38,26 +38,18 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"malformed rational {text!r}: {exc}") from None
 
 
-def _parse_rational_list(text: str) -> list[Fraction]:
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"malformed integer {text.strip()!r}") from None
+
+
+def _parse_list(text: str, parse_item) -> list:
     items = [s for s in text.split(",") if s.strip()]
     if not items:
         raise UsageError("empty list")
-    return [_parse_rational(s) for s in items]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    out = []
-    for s in text.split(","):
-        s = s.strip()
-        if not s:
-            continue
-        try:
-            out.append(int(s))
-        except ValueError:
-            raise UsageError(f"malformed integer {s!r}") from None
-    if not out:
-        raise UsageError("empty list")
-    return out
+    return [parse_item(s) for s in items]
 
 
 def _rat_str(x: Fraction) -> str:
@@ -103,7 +95,7 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_decompose(args) -> int:
-    weights = _parse_rational_list(args.weights)
+    weights = _parse_list(args.weights, _parse_rational)
     dec = peel_decompose(weights, args.max_level)
     rows = []
     for e in dec.entries:
@@ -124,14 +116,14 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.type is not None:
-        values = _parse_int_list(args.type)
+        values = _parse_list(args.type, _parse_int)
         if len(values) < 3:
             raise UsageError("--type needs a total floor plus at least two factor floors")
         etype = ExplicitType(values[0], tuple(values[1:]))
     else:
         from .classify import explicit_type_of
 
-        etype = explicit_type_of(_parse_rational_list(args.weights))
+        etype = explicit_type_of(_parse_list(args.weights, _parse_rational))
     bound = args.bound if args.bound is not None else default_level_bound(etype)
     report_obj = classify_definite(etype, bound)
     rows = [{"level": lv, "sign": s} for lv, s in report_obj.entries]
@@ -163,7 +155,7 @@ def _cmd_quantum(args) -> int:
             raise UsageError("--q1 needs --weights and --max-level")
         if args.max_level < 0:
             raise UsageError("--max-level must be nonnegative")
-        weights = ensure_generic_tuple(_parse_rational_list(args.weights))
+        weights = ensure_generic_tuple(_parse_list(args.weights, _parse_rational))
         rows = [
             {
                 "m": m,
@@ -185,7 +177,7 @@ def _cmd_quantum(args) -> int:
             piece = piece.strip()
             if piece and not piece.lstrip("+").isdigit():
                 raise UsageError(f"--a expects nonnegative integers, got {piece!r}")
-        a = _parse_int_list(args.a)
+        a = _parse_list(args.a, _parse_int)
         t = _parse_rational(args.t)
         qp = QParam(t.numerator, t.denominator)
         if args.all_levels:
@@ -252,8 +244,8 @@ def _bethe_level_row(weights, z, m, seed):
 def _cmd_bethe(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
-    weights = _parse_rational_list(args.weights)
-    z = _parse_rational_list(args.z)
+    weights = _parse_list(args.weights, _parse_rational)
+    z = _parse_list(args.z, _parse_rational)
     levels = [args.m] if args.sweep is None else _parse_sweep(args.sweep)
     for m in levels:
         MasterConfig(tuple(z), tuple(weights), m).require_generic()

@@ -5,7 +5,8 @@ Jacobian, the Newton polish and the realness test are this module's own
 copies, so the two pipelines polish and classify points independently.
 
 ``bethe_vector_closed_form`` expands a Bethe vector as an exponential-time
-assignment sum.  ``search_critical_points`` finds critical points by a
+assignment sum.  ``hamiltonian_matrices_per_factor`` builds each Gaudin
+Hamiltonian H_i on its own, with every Casimir Omega_ij built again for H_j.  ``search_critical_points`` finds critical points by a
 numeric search that takes no input from the Gaudin spectrum: multistart
 guarded Newton, then weight continuation from the all-negative chamber
 retried over several detour scales, then more multistart.  The acceptance
@@ -15,6 +16,7 @@ criteria compare spectrum counting against it.
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -115,6 +117,34 @@ def bethe_vector_closed_form(cfg, t):
             total += prod
         out[idx] = total
     return out
+
+
+def hamiltonian_matrices_per_factor(cfg: MasterConfig, level: int) -> list[list[list[Fraction]]]:
+    """H_i = sum_{j != i} (E_i F_j + F_i E_j + H_i H_j / 2)/(z_i - z_j), one i at a
+    time, on the level's composition basis (the library builds each pair once)."""
+    n = cfg.n
+    comps = compositions(level, n)
+    index = {c: r for r, c in enumerate(comps)}
+    lam, z = cfg.weights, cfg.z
+    mats = []
+    for i in range(n):
+        mat = [[Fraction(0)] * len(comps) for _ in comps]
+        for c, comp in enumerate(comps):
+            for j in range(n):
+                if j == i:
+                    continue
+                w = 1 / (z[i] - z[j])
+                # E_i F_j, then F_i E_j: one unit moves from factor a to factor b
+                for a, b in ((i, j), (j, i)):
+                    k = comp[a]
+                    if k > 0:
+                        target = list(comp)
+                        target[a] -= 1
+                        target[b] += 1
+                        mat[index[tuple(target)]][c] += w * k * (lam[a] - k + 1)
+                mat[c][c] += w * (lam[i] - 2 * comp[i]) * (lam[j] - 2 * comp[j]) / 2
+        mats.append(mat)
+    return mats
 
 
 def _escape_radius(cfg: MasterConfig) -> float:

@@ -18,6 +18,7 @@ from vermasig import (
     master_value,
     zy_commutator_check,
 )
+from vermasig import bethe
 from vermasig.bethe import (
     hamiltonian_eigenvalue,
     hamiltonian_matrices,
@@ -26,7 +27,11 @@ from vermasig.bethe import (
 )
 from vermasig.sigchar import is_generic
 
-from bethe_reference import bethe_vector_closed_form, search_critical_points
+from bethe_reference import (
+    bethe_vector_closed_form,
+    hamiltonian_matrices_per_factor,
+    search_critical_points,
+)
 from test_acceptance import _criterion5_instances
 
 
@@ -119,6 +124,17 @@ def test_gaudin_level_structure_n2():
     pts = find_critical_points(cfg, count_real_by_spectrum(cfg, seed=0)[1])
     mu = hamiltonian_eigenvalue(cfg, 0, pts[0].qpoly)
     assert abs(complex(system.matrices[0][0][0]) - mu) < 1e-9
+
+
+def test_hamiltonians_match_per_factor_reference():
+    rng = random.Random(20)
+    for n in range(2, 6):
+        for _ in range(3):
+            cfg = random_config(rng, n=n)
+            for level in range(4):
+                assert hamiltonian_matrices(cfg, level=level) == hamiltonian_matrices_per_factor(
+                    cfg, level
+                )
 
 
 def test_highest_vector_is_joint_eigenvector():
@@ -291,3 +307,22 @@ def test_zy_commutator_identity():
         zy_commutator_check(cfg2, F(1, 2), F(1, 2), 2)
     with pytest.raises(DomainError):
         zy_commutator_check(cfg2, F(0), F(1, 2), 2)
+
+
+def test_zy_commutator_check_fails_for_a_wrong_z(monkeypatch):
+    # Z(t) without the last factor's term: [Z(t_a), Y(t_b)] then misses the
+    # F_n part of 2/(t_a-t_b) (Y(t_a) - Y(t_b)), already at level 0
+    def z_without_last(cfg, tval, state):
+        out = {}
+        for comp, coef in state.items():
+            factor = sum(
+                (cfg.weights[i] - 2 * comp[i]) / (tval - cfg.z[i]) for i in range(cfg.n - 1)
+            )
+            if factor != 0:
+                out[comp] = coef * factor
+        return out
+
+    cfg = MasterConfig((F(0), F(1), F(3)), (F(23, 10), F(17, 10), F(-2, 5)), 1)
+    assert zy_commutator_check(cfg, F(9, 2), F(-13, 7), 2)
+    monkeypatch.setattr(bethe, "_z_apply", z_without_last)
+    assert not zy_commutator_check(cfg, F(9, 2), F(-13, 7), 2)
