@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -43,8 +45,8 @@ from .shapovalov import (
     Matrix,
     SingularBasis,
     _gram_on_basis,
+    _raising_rows,
     compositions,
-    express_in_basis,
     raising_matrix,
     singular_basis,
 )
@@ -156,19 +158,23 @@ def bethe_residual(cfg: MasterConfig, t: Sequence[complex]) -> float:
     """max_i |sum_{j != i} 2/(t_i-t_j) - sum_k lam_k/(t_i-z_k)|."""
     _check_arrangement(cfg, t)
     tv = np.asarray([complex(x) for x in t])
-    return float(np.max(np.abs(_bethe_system(cfg, tv)[0])))
+    return float(np.max(np.abs(_bethe_system(cfg, *_differences(cfg, tv))[0])))
 
 
-def _bethe_system(cfg: MasterConfig, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Bethe equations g (as in bethe_residual) at t, and their Jacobian."""
-    z, lam, _ = cfg.floats
-    m = len(t)
-    dtz = t[:, None] - z[None, :]
+def _differences(cfg: MasterConfig, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t_i - z_k, and t_i - t_j with 1.0 on the diagonal."""
+    dtt = t[:, None] - t[None, :]
+    np.fill_diagonal(dtt, 1.0)
+    return t[:, None] - cfg.floats[0][None, :], dtt
+
+
+def _bethe_system(cfg: MasterConfig, dtz, dtt) -> tuple[np.ndarray, np.ndarray]:
+    """The Bethe equations g (as in bethe_residual) and their Jacobian, from _differences."""
+    _, lam, _ = cfg.floats
+    m = len(dtt)
     g = -np.sum(lam[None, :] / dtz, axis=1)
     jac = np.zeros((m, m), dtype=complex)
     if m > 1:
-        dtt = t[:, None] - t[None, :]
-        np.fill_diagonal(dtt, 1.0)
         inv, off = 2.0 / dtt, 2.0 / dtt**2
         np.fill_diagonal(inv, 0.0)
         np.fill_diagonal(off, 0.0)
@@ -197,16 +203,9 @@ def _is_real_poly(coeffs: np.ndarray, tol: float) -> bool:
     return bool(np.all(np.abs(coeffs.imag) <= tol * (1.0 + np.abs(coeffs))))
 
 
-def _too_close(cfg: MasterConfig, t: np.ndarray) -> bool:
-    scale = 1.0 + float(np.max(np.abs(t)))
-    z = cfg.floats[0]
-    if np.min(np.abs(t[:, None] - z[None, :])) < 1e-13 * scale:
-        return True
-    if cfg.m > 1:
-        dtt = np.abs(t[:, None] - t[None, :]) + np.eye(cfg.m)
-        if np.min(dtt) < 1e-13 * scale:
-            return True
-    return False
+def _too_close(t: np.ndarray, dtz, dtt) -> bool:
+    eps = 1e-13 * (1.0 + float(np.max(np.abs(t))))
+    return np.min(np.abs(dtz)) < eps or (len(t) > 1 and np.min(np.abs(dtt)) < eps)
 
 
 def find_critical_points(
@@ -264,7 +263,7 @@ def find_critical_points(
 
 def _polish(cfg: MasterConfig, t: np.ndarray) -> tuple[np.ndarray, float]:
     # one evaluation per iterate gives both its residual and its Newton step
-    g, jac = _bethe_system(cfg, t)
+    g, jac = _bethe_system(cfg, *_differences(cfg, t))
     best, best_res = t, float(np.max(np.abs(g)))
     for _ in range(POLISH_ROUNDS):
         try:
@@ -272,9 +271,10 @@ def _polish(cfg: MasterConfig, t: np.ndarray) -> tuple[np.ndarray, float]:
         except np.linalg.LinAlgError:
             break
         t = t + step
-        if not np.all(np.isfinite(t)) or _too_close(cfg, t):
+        # the differences serve the closeness test, then the system's reciprocals
+        if not np.all(np.isfinite(t)) or _too_close(t, *(diffs := _differences(cfg, t))):
             break
-        g, jac = _bethe_system(cfg, t)
+        g, jac = _bethe_system(cfg, *diffs)
         res = float(np.max(np.abs(g)))
         if res >= best_res:
             break
@@ -328,44 +328,91 @@ class GaudinSystem:
     basis: SingularBasis
     matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]
     gram: GramMatrix
+    # (Dz, ((d_i, W_i), ...)) with matrices[i][f][g] = Dz * W_i[f][g] / (d_i * s_f),
+    # s_f the scale of basis.integral_vectors[f]; all integers, Dz, d_i > 0
+    integral_matrices: tuple = field(compare=False, repr=False)
 
 
 def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
-    """Restrict the Hamiltonians to the singular vectors and check them exactly.
+    """Restrict the Hamiltonians to the singular vectors and check them exactly, on integers.
 
-    Exact checks: the restriction exists (the subspace is invariant), the
-    restricted matrices commute pairwise, and each is self-adjoint for the
-    induced Gram matrix.
+    With z = zeta/Dz, lams = a/D and P_i = lcm_{j != i} |zeta_i - zeta_j|, the image
+    w = (2 D^2 P_i / Dz) H_i u_f of a kernel vector u_f = s_f v_f is integral (_images).
+    Kernel vector g is 1 at free column g and 0 at the other free columns, so
+    R_i[f][g] = Dz w[g] / (2 D^2 P_i s_f).  Exact checks: each image is killed by
+    the raising operator, and the R_i commute and are self-adjoint for the Gram matrix.
     """
     cfg.require_generic()
     basis = singular_basis(cfg.weights, cfg.m)
-    gram = _gram_on_basis(basis)
-    restricted = []
-    for mat in hamiltonian_matrices(cfg):
-        images = exact.matmul(basis.vectors, list(zip(*mat)))
-        coords = express_in_basis(images, basis.vectors)
-        restricted.append(tuple(tuple(row) for row in coords))
+    gram, gram_int = _gram_on_basis(basis)
+    (den, nums), kernel = basis.integral_weights, basis.integral_vectors
+    dz, zeta = exact._integer_row(cfg.z)
+    lcms = [math.lcm(*(zi - zj for zj in zeta if zj != zi)) for zi in zeta]
+    images = _images(basis, zeta, lcms)
+    rows = _raising_rows(den, nums, cfg.m)
+    if any(sum(map(mul, row, w)) for row in rows for ws in images for w in ws):
+        raise InvariantError("a Gaudin Hamiltonian leaves the multiplicity space: arithmetic bug")
+    parts = tuple(
+        (2 * den * den * p, tuple(tuple(w[g] for g in basis.free_columns) for w in per_i))
+        for p, per_i in zip(lcms, images)
+    )
+    restricted = tuple(
+        tuple(tuple(Fraction(dz * x, d * s) for x in row) for (s, _), row in zip(kernel, ints))
+        for d, ints in parts
+    )
+    big = math.lcm(*(s for s, _ in kernel))
+    sigma = [big // s for s, _ in kernel]
+    for (_, a), (_, b) in itertools.combinations(parts, 2):
+        _check_commute(a, b, sigma)
+    for _, ints in parts:
+        _check_self_adjoint(ints, gram_int, sigma)
+    return GaudinSystem(cfg, basis, restricted, gram, (dz, parts))
 
-    for a, b in itertools.combinations(restricted, 2):
-        _check_commute(a, b)
-    for mat in restricted:
-        _check_self_adjoint(mat, gram)
-    return GaudinSystem(cfg, basis, tuple(restricted), gram)
+
+def _images(basis: SingularBasis, zeta: list[int], lcms: list[int]) -> list[list[list[int]]]:
+    """images[i][f] = sum_{j != i} P_i/(zeta_i - zeta_j) 2D^2 Omega_ij u_f, once per pair i < j.
+
+    2D^2 Omega_ij moves a unit from factor a to b, {a, b} = {i, j}, by 2D k (a_a - (k - 1) D)
+    with k = k_a, and scales by (a_i - 2 k_i D)(a_j - 2 k_j D).
+    """
+    (den, nums), comps = basis.integral_weights, basis.compositions
+    index = {c: r for r, c in enumerate(comps)}
+    out = [[[0] * len(comps) for _ in basis.integral_vectors] for _ in nums]
+    for i, j in itertools.combinations(range(len(nums)), 2):
+        for f, (_, u) in enumerate(basis.integral_vectors):
+            omega = [0] * len(comps)
+            for c, (comp, x) in enumerate(zip(comps, u)):
+                if not x:
+                    continue
+                omega[c] += (nums[i] - 2 * comp[i] * den) * (nums[j] - 2 * comp[j] * den) * x
+                for a, b in ((i, j), (j, i)):
+                    if k := comp[a]:
+                        target = tuple(v - (e == a) + (e == b) for e, v in enumerate(comp))
+                        omega[index[target]] += 2 * den * k * (nums[a] - (k - 1) * den) * x
+            for t, wt in ((i, lcms[i] // (zeta[i] - zeta[j])), (j, lcms[j] // (zeta[j] - zeta[i]))):
+                out[t][f] = [y + wt * o for y, o in zip(out[t][f], omega)]
+    return out
 
 
-def _check_commute(a, b) -> None:
-    if exact.matmul(a, b) != exact.matmul(b, a):
+def _product(a, sigma: Sequence[int], b) -> list[list[int]]:
+    """The integer matrix a diag(sigma) b."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in ([*map(mul, r, sigma)] for r in a)]
+
+
+def _check_commute(a, b, sigma: Sequence[int]) -> None:
+    # R_i = c_i S^-1 W_i with S = diag(s_f) and scalars c_i, so R_a R_b = R_b R_a
+    # iff W_a Sigma W_b = W_b Sigma W_a, Sigma = diag(lcm(s) / s_f)
+    if _product(a, sigma, b) != _product(b, sigma, a):
         raise InvariantError("Gaudin Hamiltonians fail to commute: arithmetic bug")
 
 
-def _check_self_adjoint(mat, gram: GramMatrix) -> None:
-    # operator rows act on coordinates: restriction matrix R with H s_u = sum R[u][w] s_w,
-    # self-adjointness for gram G reads (G R^T) symmetric
-    gr = exact.matmul(gram.entries, list(zip(*mat)))
+def _check_self_adjoint(ints, gram_int, sigma: Sequence[int]) -> None:
+    # R (H s_u = sum R[u][w] s_w) is self-adjoint for G = S^-1 G_int S^-1 / D^m
+    # when G R^T is symmetric; with R = c S^-1 W, when W Sigma G_int is
+    gr = _product(ints, sigma, gram_int)
     if any(gr[i][j] != gr[j][i] for i in range(len(gr)) for j in range(i)):
-        raise InvariantError(
-            "Hamiltonian is not self-adjoint for the induced form: arithmetic bug"
-        )
+        raise InvariantError("Hamiltonian is not self-adjoint for the induced form: arithmetic bug")
 
 
 def hamiltonian_eigenvalue(cfg: MasterConfig, i: int, qpoly: Sequence[complex]) -> complex:
@@ -404,8 +451,6 @@ def bethe_vector(cfg: MasterConfig, t: Sequence[complex]) -> np.ndarray:
 def raising_residual(cfg: MasterConfig, vec: np.ndarray) -> float:
     """|E b| / |b| for a level-m coefficient vector (zero at critical points)."""
     mat = np.array(raising_matrix(cfg.weights, cfg.m), dtype=float)
-    if mat.size == 0:
-        return 0.0
     return float(np.linalg.norm(mat @ vec) / np.linalg.norm(vec))
 
 
@@ -421,9 +466,7 @@ class SpectrumWitness:
     max_imag: float
 
 
-def count_real_by_spectrum(
-    cfg: MasterConfig, seed: int = 0
-) -> tuple[int, list[SpectrumWitness]]:
+def count_real_by_spectrum(cfg: MasterConfig, seed: int = 0) -> tuple[int, list[SpectrumWitness]]:
     """Count joint eigenvectors of the Hamiltonians with real joint eigenvalue.
 
     Diagonalizes a random integer combination of the restricted Hamiltonians
@@ -434,27 +477,23 @@ def count_real_by_spectrum(
     system = gaudin_system(cfg)
     hams = [np.array(mat, dtype=float) for mat in system.matrices]
     r = system.basis.dim
+    dz, parts = system.integral_matrices
+    big = math.lcm(*(d for d, _ in parts))
     rng = random.Random(seed)
     last_gap = None
     for _ in range(SPECTRUM_RETRIES):
         combo = [rng.randint(1, 10**6) for _ in range(cfg.n)]
-        combined = [
-            [
-                sum(combo[i] * system.matrices[i][u][w] for i in range(cfg.n))
-                for w in range(r)
-            ]
-            for u in range(r)
-        ]
-        mat = np.array(combined, dtype=float)
+        # sum_i combo_i R_i over lcm(d_i) s_u; int / int rounds as float(Fraction) does
+        coefs = [c * (big // d) for c, (d, _) in zip(combo, parts)]
+        mat = np.array([
+            [dz * sum(map(mul, coefs, col)) / (big * s) for col in zip(*rows)]
+            for (s, _), rows in zip(system.basis.integral_vectors, zip(*(w for _, w in parts)))
+        ])
         evals, evecs = np.linalg.eig(mat)
         scale = max(1.0, float(np.max(np.abs(evals))))
-        if r == 1:
-            gap = np.inf
-        else:
-            pair = np.abs(evals[:, None] - evals[None, :]) + np.diag([np.inf] * r)
-            gap = float(np.min(pair))
-        last_gap = gap
-        if gap > 1e-8 * scale:
+        pair = np.abs(evals[:, None] - evals[None, :]) + np.diag([np.inf] * r)
+        last_gap = float(np.min(pair))
+        if last_gap > 1e-8 * scale:
             break
     else:
         raise RuntimeError(

@@ -55,23 +55,25 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, tuple[int, ...]]]:
+def nullspace(rows: list[list[int]], ncols: int) -> tuple[list[int], list[tuple[int, tuple]]]:
     """Exact kernel of integer rows (eliminated in place), one vector per free column.
 
     The vector of free column f has 1 at f and minus the RREF entry of column
-    f at each pivot column, so the basis is canonical for the matrix.  It is
-    returned as (s, u): u = s * vector is integral, with s > 0 the least such.
+    f at each pivot column, so the basis is canonical for the matrix.  Returns
+    the free columns in order, and each vector as (s, u): u = s * vector is
+    integral, with s > 0 the least such.
     """
     pivots = _gauss_jordan(rows, ncols)
+    free = sorted(set(range(ncols)) - set(pivots))
     basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
+    for f in free:
         scale = math.lcm(*(row[pc] // math.gcd(row[f], row[pc]) for row, pc in zip(rows, pivots)))
         vec = [0] * ncols
         vec[f] = scale
         for row, pc in zip(rows, pivots):
             vec[pc] = -row[f] * scale // row[pc]
         basis.append((scale, tuple(vec)))
-    return basis
+    return free, basis
 
 
 def express_in_basis(
@@ -164,12 +166,3 @@ def inertia(entries: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
             dens[r] = den // g
     return pos, size - pos
 
-
-def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Exact product a * b: rows of a and columns of b cleared to integers."""
-    left = [_integer_row(row) for row in a]
-    right = [_integer_row(col) for col in zip(*b)]
-    return [
-        [Fraction(sum(map(mul, ar, bc)), sa * sb) for sb, bc in right]
-        for sa, ar in left
-    ]

@@ -78,9 +78,11 @@ class SingularBasis:
     m: int
     compositions: tuple[tuple[int, ...], ...]
     vectors: tuple[tuple[Fraction, ...], ...]
-    # (D, D * lams) and, per vector v, (s, s * v), both integral with D, s > 0
+    # (D, D * lams) and, per vector v, (s, s * v), both integral with D, s > 0;
+    # vector f is 1 at free_columns[f] and 0 at every other free column
     integral_weights: tuple[int, tuple[int, ...]] = field(compare=False, repr=False)
     integral_vectors: tuple[tuple[int, tuple[int, ...]], ...] = field(compare=False, repr=False)
+    free_columns: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -96,14 +98,14 @@ def singular_basis(lams: Sequence[RationalLike], m: int) -> SingularBasis:
     n = len(lams)
     comps = compositions(m, n)
     den, nums = exact._integer_row(lams)
-    kernel = exact.nullspace(_raising_rows(den, nums, m), len(comps))
+    free, kernel = exact.nullspace(_raising_rows(den, nums, m), len(comps))
     expected = multiplicity_dim(n, m)
     if len(kernel) != expected:
         raise GenericityError(
             f"kernel dimension {len(kernel)} != {expected}; weights are degenerate"
         )
     vectors = tuple(tuple(Fraction(x, s) if x else _ZERO for x in u) for s, u in kernel)
-    return SingularBasis(lams, m, comps, vectors, (den, tuple(nums)), tuple(kernel))
+    return SingularBasis(lams, m, comps, vectors, (den, tuple(nums)), tuple(kernel), tuple(free))
 
 
 @dataclass(frozen=True)
@@ -136,14 +138,14 @@ def weight_space_norms(lams: Sequence[Fraction], m: int) -> list[Fraction]:
 
 def gram_on_multiplicity(lams: Sequence[RationalLike], m: int) -> GramMatrix:
     """Gram matrix of the induced form on the level-m multiplicity space."""
-    return _gram_on_basis(singular_basis(lams, m))
+    return _gram_on_basis(singular_basis(lams, m))[0]
 
 
-def _gram_on_basis(basis: SingularBasis) -> GramMatrix:
+def _gram_on_basis(basis: SingularBasis) -> tuple[GramMatrix, list[list[int]]]:
     """The induced form from the basis's integers, with its inertia from one elimination.
 
     Entry (u, v) is G[u][v] / (s_u * s_v * D^m) for the integer Gram matrix G,
-    a congruence by a positive diagonal, so G has the inertia of the form.
+    a congruence by a positive diagonal, so G has the inertia of the form; returns both.
     """
     (den, nums), kernel = basis.integral_weights, basis.integral_vectors
     g = exact.gram([u for _, u in kernel], _norm_numerators(den, nums, basis.m))
@@ -156,7 +158,7 @@ def _gram_on_basis(basis: SingularBasis) -> GramMatrix:
     for i, row in enumerate(g):
         for j in range(i, len(g)):
             entries[i][j] = entries[j][i] = Fraction(row[j], kernel[i][0] * kernel[j][0] * dm)
-    return GramMatrix(tuple(map(tuple, entries)), inertia)
+    return GramMatrix(tuple(map(tuple, entries)), inertia), g
 
 
 def exact_signature(gram: GramMatrix) -> tuple[int, int]:

@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import fraction_reference as ref
@@ -17,6 +18,7 @@ from vermasig import (
     GenericityError,
     GramMatrix,
     MasterConfig,
+    count_real_by_spectrum,
     exact_signature,
     gaudin_system,
     gram_on_multiplicity,
@@ -59,10 +61,14 @@ def random_symmetric(rng, size, zero_diagonal=False):
 def rational_kernel(mat, ncols):
     """exact.nullspace on the cleared rows of a rational matrix, as rational vectors."""
     out = []
-    for scale, vec in exact.nullspace([exact._integer_row(row)[1] for row in mat], ncols):
+    free, kernel = exact.nullspace([exact._integer_row(row)[1] for row in mat], ncols)
+    assert len(free) == len(kernel)
+    for f, (scale, vec) in zip(free, kernel):
         rational = [F(x, scale) for x in vec]
         # the scale is positive and the least one that makes the vector integral
         assert scale > 0 and scale == math.lcm(*(x.denominator for x in rational))
+        # 1 at its own free column, 0 at the others
+        assert [rational[g] for g in free] == [F(g == f) for g in free]
         out.append(rational)
     return out
 
@@ -159,15 +165,6 @@ def test_degenerate_form_raises_genericity_error():
         gaudin_system(MasterConfig((F(0), F(1)), (F(1, 2), F(-1, 2)), 1))
 
 
-def test_matmul_matches_reference():
-    rng = random.Random(3)
-    for _ in range(40):
-        k, l, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
-        a = [[random_rational(rng) for _ in range(l)] for _ in range(k)]
-        b = [[random_rational(rng) for _ in range(n)] for _ in range(l)]
-        assert exact.matmul(a, b) == ref.matmul(a, b)
-
-
 def random_generic_tuple(rng, n, denoms, span):
     while True:
         lams = [F(rng.randint(-span, span), rng.choice(denoms)) for _ in range(n)]
@@ -257,10 +254,43 @@ def test_one_elimination_per_gram(monkeypatch):
     assert got == ref.inertia(calls["inertia"][0])
 
 
-def test_gaudin_restriction_matches_reference():
-    cfg = MasterConfig((F(0), F(1), F(3), F(7, 2)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 2)
-    system = gaudin_system(cfg)
-    vectors = [list(v) for v in system.basis.vectors]
-    for mat, got in zip(hamiltonian_matrices(cfg), system.matrices):
-        images = ref.matmul(vectors, [list(col) for col in zip(*mat)])
-        assert [list(row) for row in got] == ref.express_in_basis(images, vectors)
+def restriction_configs():
+    """Generic configs with n = 2..5 and m = 1..4 (m <= 3 at n = 5); z has
+    denominators and is unsorted, so zeta_i - zeta_j takes both signs."""
+    rng = random.Random(12)
+    out = [MasterConfig((F(0), F(1), F(3), F(7, 2)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 2)]
+    for n, m in [(n, m) for n in range(2, 6) for m in range(1, 5) if (n, m) != (5, 4)]:
+        lams = random_generic_tuple(rng, n, denoms=(1, 2, 3, 7, 10), span=30)
+        z = rng.sample([F(p, q) for p in range(-9, 10) for q in (1, 2, 3, 5) if math.gcd(p, q) == 1], n)
+        out.append(MasterConfig(tuple(z), tuple(lams), m))
+    return out
+
+
+def test_gaudin_restriction_matches_reference(monkeypatch):
+    eigs = []
+    real_eig = np.linalg.eig
+
+    def eig(mat):
+        eigs.append(mat.copy())
+        return real_eig(mat)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    for seed, cfg in enumerate(restriction_configs()):
+        system = gaudin_system(cfg)
+        vectors = [list(v) for v in system.basis.vectors]
+        for mat, got in zip(hamiltonian_matrices(cfg), system.matrices):
+            images = ref.matmul(vectors, [list(col) for col in zip(*mat)])
+            assert [list(row) for row in got] == ref.express_in_basis(images, vectors), cfg
+        # the first combination count_real_by_spectrum diagonalises, bit for bit
+        # the float of the Fraction sum
+        eigs.clear()
+        count_real_by_spectrum(cfg, seed=seed)
+        rng = random.Random(seed)
+        combo = [rng.randint(1, 10**6) for _ in range(cfg.n)]
+        r = system.basis.dim
+        combined = [
+            [sum(c * h[u][w] for c, h in zip(combo, system.matrices)) for w in range(r)]
+            for u in range(r)
+        ]
+        want = np.array(combined, dtype=float)
+        assert eigs[0].dtype == want.dtype and eigs[0].tobytes() == want.tobytes(), cfg
