@@ -12,9 +12,10 @@ exactly when its joint eigenvalue tuple is real.  The Hamiltonians are built
 exactly, and a random integer combination of them (seeded by ``seed``) is
 diagonalized to read off the joint tuples.  Counting the real ones counts the
 real critical points; each tuple also fixes its critical point through a
-Heine-Stieltjes equation for Q, solved by one linear solve and a Newton
-polish, so finding the points needs no search.  The multiplicity-space
-signature from character peeling bounds the real count from below.
+Heine-Stieltjes equation for Q.  The tuples of a config share n and m, so one
+batched Heine-Stieltjes solve and Newton polish over all witnesses finds every
+point, with no search.  The multiplicity-space signature from character
+peeling bounds the real count from below.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .shapovalov import (
     Matrix,
     SingularBasis,
     _gram_on_basis,
-    _raising_rows,
+    _raising_columns,
     compositions,
     raising_matrix,
     singular_basis,
@@ -157,31 +158,27 @@ def master_value(cfg: MasterConfig, t: Sequence[float]) -> float:
 def bethe_residual(cfg: MasterConfig, t: Sequence[complex]) -> float:
     """max_i |sum_{j != i} 2/(t_i-t_j) - sum_k lam_k/(t_i-z_k)|."""
     _check_arrangement(cfg, t)
-    tv = np.asarray([complex(x) for x in t])
+    tv = np.asarray([[complex(x) for x in t]])
     return float(np.max(np.abs(_bethe_system(cfg, *_differences(cfg, tv))[0])))
 
 
 def _differences(cfg: MasterConfig, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """t_i - z_k, and t_i - t_j with 1.0 on the diagonal."""
-    dtt = t[:, None] - t[None, :]
-    np.fill_diagonal(dtt, 1.0)
-    return t[:, None] - cfg.floats[0][None, :], dtt
+    """For a stack t of shape (r, m): t_i - z_k, and t_i - t_j with 1.0 on the diagonal."""
+    dtt = t[:, :, None] - t[:, None, :]
+    diag = np.arange(t.shape[1])
+    dtt[:, diag, diag] = 1.0
+    return t[:, :, None] - cfg.floats[0], dtt
 
 
 def _bethe_system(cfg: MasterConfig, dtz, dtt) -> tuple[np.ndarray, np.ndarray]:
-    """The Bethe equations g (as in bethe_residual) and their Jacobian, from _differences."""
-    _, lam, _ = cfg.floats
-    m = len(dtt)
-    g = -np.sum(lam[None, :] / dtz, axis=1)
-    jac = np.zeros((m, m), dtype=complex)
-    if m > 1:
-        inv, off = 2.0 / dtt, 2.0 / dtt**2
-        np.fill_diagonal(inv, 0.0)
-        np.fill_diagonal(off, 0.0)
-        g = g + np.sum(inv, axis=1)
-        jac += off
-        np.fill_diagonal(jac, -np.sum(off, axis=1))
-    jac[np.diag_indices(m)] += np.sum(lam[None, :] / dtz**2, axis=1)
+    """The Bethe equations g (r, m), as in bethe_residual, and their Jacobians (r, m, m)."""
+    lam = cfg.floats[1]
+    diag = np.arange(dtt.shape[1])
+    inv, jac = 2.0 / dtt, 2.0 / dtt**2
+    inv[:, diag, diag] = 0.0
+    jac[:, diag, diag] = 0.0
+    g = -(lam / dtz).sum(2) + inv.sum(2)
+    jac[:, diag, diag] = (lam / dtz**2).sum(2) - jac.sum(2)
     return g, jac
 
 
@@ -198,14 +195,18 @@ class CriticalPoint:
         return np.roots(np.array(self.qpoly))
 
 
-def _is_real_poly(coeffs: np.ndarray, tol: float) -> bool:
-    """Every entry (Q's coefficients, or a joint tuple) has |imag| <= tol (1 + |entry|)."""
-    return bool(np.all(np.abs(coeffs.imag) <= tol * (1.0 + np.abs(coeffs))))
+def _is_real_rows(rows: np.ndarray) -> np.ndarray:
+    """Per row (Q's coefficients, or a joint tuple): every |imag| <= REAL_TOL (1 + |entry|)."""
+    return (np.abs(rows.imag) <= REAL_TOL * (1.0 + np.abs(rows))).all(1)
 
 
-def _too_close(t: np.ndarray, dtz, dtt) -> bool:
-    eps = 1e-13 * (1.0 + float(np.max(np.abs(t))))
-    return np.min(np.abs(dtz)) < eps or (len(t) > 1 and np.min(np.abs(dtt)) < eps)
+def _too_close(t: np.ndarray, dtz, dtt) -> np.ndarray:
+    """Per row of the stack: an entry of dtz, or for m > 1 of dtt, below 1e-13 (1 + max|t|)."""
+    eps = 1e-13 * (1.0 + np.abs(t).max(1))
+    close = np.abs(dtz).min((1, 2)) < eps
+    if t.shape[1] > 1:
+        close |= np.abs(dtt).min((1, 2)) < eps
+    return close
 
 
 def find_critical_points(
@@ -219,10 +220,12 @@ def find_critical_points(
     P0 = prod_k (x - z_k), P1 = P0 sum_k lam_k/(x - z_k) and deg R = n - 2.
     The point's joint eigenvalue tuple mu fixes R: R(z_k) = P0'(z_k) (c_k - mu_k),
     where c_k is the highest-vector eigenvalue, and R has leading coefficient
-    m sum(lam) - m(m-1).  Each witness thus gives Q by one least-squares
-    solve, and Newton polishing finishes its roots.  A point is dropped when
-    its polished residual exceeds RESIDUAL_TOL or it repeats a point already
-    found, so a list shorter than dim means a point failed a check.
+    m sum(lam) - m(m-1).  All witnesses share n and m, so they are solved as
+    one stack: one batched least-squares solve gives every Q, one batched
+    companion eigensolve its roots, and one batched Newton polish finishes
+    them.  A point is dropped when its polished residual exceeds RESIDUAL_TOL
+    or it repeats a point already found (in witness order), so a list shorter
+    than dim means a point failed a check.
     """
     if len(witnesses) != cfg.dim or any(len(w.joint) != cfg.n for w in witnesses):
         raise DomainError(
@@ -232,53 +235,87 @@ def find_critical_points(
     n, m = cfg.n, cfg.m
     z, lam, c = cfg.floats
     # coefficients lowest degree first; cofactors[k] = P0/(x - z_k)
-    p0 = np.poly(z)[::-1]
-    cofactors = np.array([np.poly(np.delete(z, k))[::-1] for k in range(n)])
+    others = np.tile(z, (n, 1))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    p0, cofactors = _from_roots(z[None])[0, ::-1], _from_roots(others)[:, ::-1]
     p1 = lam @ cofactors
+    # column j holds P0 (x^j)'' - P1 (x^j)' + R x^j; the R part differs per witness
+    base = np.zeros((n + m - 1, m + 1))
+    for j in range(2, m + 1):
+        base[j - 2 : j - 1 + n, j] += j * (j - 1) * p0
+    for j in range(1, m + 1):
+        base[j - 1 : j - 1 + n, j] -= j * p1
+    # Lagrange form through the values R(z_k); its x^(n-1) coefficient
+    # sum(c - mu) vanishes, and the next one is known exactly
+    r = ((c - np.array([w.joint for w in witnesses])) @ cofactors)[:, :-1]
+    r[:, -1] = m * lam.sum() - m * (m - 1)
+    # R x^j fills rows j..j+n-2 of column j
+    cols = np.arange(m + 1)[:, None]
+    op = np.repeat(base[None].astype(complex), len(witnesses), axis=0)
+    op[:, cols + np.arange(n - 1), cols] += r[:, None, :]
+    # Q's lower coefficients, the least-squares solution through a stacked QR
+    q, upper = np.linalg.qr(op[:, :, :m])
+    lower = np.linalg.solve(upper, q.conj().transpose(0, 2, 1) @ -op[:, :, m:])[:, :, 0]
+    companion = np.zeros((len(witnesses), m, m), dtype=complex)
+    companion[:, 0, :] = -lower[:, ::-1]
+    companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    t, residual = _polish(cfg, np.linalg.eigvals(companion))
+    kept = np.flatnonzero(residual <= RESIDUAL_TOL)
+    t, residual = t[kept], residual[kept]
+    # as np.poly does, a root set closed under conjugation gives real coefficients
+    qpoly = _from_roots(t)
+    conjugate_closed = (np.sort(t, axis=1) == np.sort(t.conj(), axis=1)).all(1)
+    qpoly[conjugate_closed] = qpoly[conjugate_closed].real
+    is_real = _is_real_rows(qpoly)
+    scale = 1e-6 * (1.0 + np.abs(qpoly).max(1))
+    repeats = (np.abs(qpoly[:, None] - qpoly[None]).max(2) < scale[:, None]).tolist()
     points: list[CriticalPoint] = []
-    for witness in witnesses:
-        # Lagrange form through the values R(z_k); its x^(n-1) coefficient
-        # sum(c - mu) vanishes, and the next one is known exactly
-        r = ((c - np.array(witness.joint)) @ cofactors)[:-1]
-        r[-1] = m * lam.sum() - m * (m - 1)
-        # column j holds P0 (x^j)'' - P1 (x^j)' + R x^j
-        op = np.zeros((n + m - 1, m + 1), dtype=complex)
-        for j in range(m + 1):
-            for poly, shift, factor in ((p0, 2, j * (j - 1)), (p1, 1, -j), (r, 0, 1)):
-                if j >= shift:
-                    op[j - shift : j - shift + len(poly), j] += factor * poly
-        lower = np.linalg.lstsq(op[:, :m], -op[:, m], rcond=None)[0]
-        t, residual = _polish(cfg, np.roots(np.concatenate(([1.0], lower[::-1]))))
-        if not residual <= RESIDUAL_TOL:
+    found: list[int] = []
+    for i in range(len(kept)):
+        if any(repeats[i][f] for f in found):
             continue
-        qpoly = np.atleast_1d(np.poly(t))
-        scale = 1e-6 * (1.0 + np.max(np.abs(qpoly)))
-        if any(np.max(np.abs(qpoly - np.array(p.qpoly))) < scale for p in points):
-            continue
-        points.append(
-            CriticalPoint(tuple(qpoly.tolist()), residual, _is_real_poly(qpoly, REAL_TOL))
-        )
+        found.append(i)
+        coeffs = qpoly[i].real if conjugate_closed[i] else qpoly[i]
+        points.append(CriticalPoint(tuple(coeffs.tolist()), float(residual[i]), bool(is_real[i])))
     return points
 
 
-def _polish(cfg: MasterConfig, t: np.ndarray) -> tuple[np.ndarray, float]:
+def _from_roots(roots: np.ndarray) -> np.ndarray:
+    """Coefficients of prod_i (x - roots[:, i]) for each row, highest degree first."""
+    coeffs = np.zeros((len(roots), roots.shape[1] + 1), dtype=roots.dtype)
+    coeffs[:, 0] = 1.0
+    for k in range(roots.shape[1]):
+        coeffs[:, 1 : k + 2] -= coeffs[:, : k + 1] * roots[:, k : k + 1]
+    return coeffs
+
+
+def _polish(cfg: MasterConfig, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps on a stack t (r, m); each row keeps its iterate of least residual.
+
+    A row stops at a singular Jacobian, at a non-finite or colliding iterate,
+    or when its residual stops falling.  The finiteness and closeness tests
+    come before any reciprocal, and only the rows that pass are evaluated.
+    """
     # one evaluation per iterate gives both its residual and its Newton step
     g, jac = _bethe_system(cfg, *_differences(cfg, t))
-    best, best_res = t, float(np.max(np.abs(g)))
+    best, best_res = t.copy(), np.abs(g).max(1)
+    live = np.arange(len(t))
     for _ in range(POLISH_ROUNDS):
-        try:
-            step = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
+        # an exactly zero pivot, where solve would raise, stops the row
+        ok = np.linalg.slogdet(jac)[0] != 0
+        live, t = live[ok], t[ok] + np.linalg.solve(jac[ok], -g[ok, :, None])[:, :, 0]
+        ok = np.isfinite(t).all(1)
+        live, t = live[ok], t[ok]
+        dtz, dtt = _differences(cfg, t)
+        ok = ~_too_close(t, dtz, dtt)
+        live, t = live[ok], t[ok]
+        g, jac = _bethe_system(cfg, dtz[ok], dtt[ok])
+        res = np.abs(g).max(1)
+        # not res >= best, so that a NaN first residual (a start on a z) is replaced
+        ok = ~(res >= best_res[live])
+        live, t, g, jac = live[ok], t[ok], g[ok], jac[ok]
+        best[live], best_res[live] = t, res[ok]
+        if not live.size:
             break
-        t = t + step
-        # the differences serve the closeness test, then the system's reciprocals
-        if not np.all(np.isfinite(t)) or _too_close(t, *(diffs := _differences(cfg, t))):
-            break
-        g, jac = _bethe_system(cfg, *diffs)
-        res = float(np.max(np.abs(g)))
-        if res >= best_res:
-            break
-        best, best_res = t, res
     return best, best_res
 
 
@@ -349,9 +386,18 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     dz, zeta = exact._integer_row(cfg.z)
     lcms = [math.lcm(*(zi - zj for zj in zeta if zj != zi)) for zi in zeta]
     images = _images(basis, zeta, lcms)
-    rows = _raising_rows(den, nums, cfg.m)
-    if any(sum(map(mul, row, w)) for row in rows for ws in images for w in ws):
-        raise InvariantError("a Gaudin Hamiltonian leaves the multiplicity space: arithmetic bug")
+    # each image is killed by the raising operator, applied column by column
+    size, columns = _raising_columns(den, nums, cfg.m)
+    for w in itertools.chain.from_iterable(images):
+        raised = [0] * size
+        for x, column in zip(w, columns):
+            if x:
+                for row, e in column:
+                    raised[row] += e * x
+        if any(raised):
+            raise InvariantError(
+                "a Gaudin Hamiltonian leaves the multiplicity space: arithmetic bug"
+            )
     parts = tuple(
         (2 * den * den * p, tuple(tuple(w[g] for g in basis.free_columns) for w in per_i))
         for p, per_i in zip(lcms, images)
@@ -415,6 +461,14 @@ def _check_self_adjoint(ints, gram_int, sigma: Sequence[int]) -> None:
         raise InvariantError("Hamiltonian is not self-adjoint for the induced form: arithmetic bug")
 
 
+def _float_matrices(system: GaudinSystem) -> np.ndarray:
+    """system.matrices as one float array (n, r, r), each entry the float of its Fraction."""
+    dz, parts = system.integral_matrices
+    scales = [s for s, _ in system.basis.integral_vectors]
+    # Dz W_i[f][g] / (d_i s_f) as int / int, which rounds as float(Fraction) does
+    return np.array([[[dz * x / (d * s) for x in row] for s, row in zip(scales, w)] for d, w in parts])
+
+
 def hamiltonian_eigenvalue(cfg: MasterConfig, i: int, qpoly: Sequence[complex]) -> complex:
     """Joint eigenvalue of H_i on the Bethe line of a critical polynomial Q."""
     z, lam, c = cfg.floats
@@ -475,8 +529,8 @@ def count_real_by_spectrum(cfg: MasterConfig, seed: int = 0) -> tuple[int, list[
     points.  Retries with a fresh combination on near-degenerate spectra.
     """
     system = gaudin_system(cfg)
-    hams = [np.array(mat, dtype=float) for mat in system.matrices]
     r = system.basis.dim
+    hams = _float_matrices(system)
     dz, parts = system.integral_matrices
     big = math.lcm(*(d for d, _ in parts))
     rng = random.Random(seed)
@@ -500,14 +554,15 @@ def count_real_by_spectrum(cfg: MasterConfig, seed: int = 0) -> tuple[int, list[
             f"spectrum of random Hamiltonian combinations stayed degenerate "
             f"(last gap {last_gap}); config {cfg}"
         )
-    witnesses = []
-    for col in range(r):
-        w = evecs[:, col]
-        denom = complex(np.vdot(w, w))
-        joint = tuple(complex(np.vdot(w, h @ w) / denom) for h in hams)
-        max_imag = max(abs(mu.imag) for mu in joint)
-        is_real = _is_real_poly(np.array(joint), REAL_TOL)
-        witnesses.append(SpectrumWitness(joint, is_real, max_imag))
+    # the Rayleigh quotients of every eigenvector under every H_i, one row per eigenvector
+    conj = evecs.conj()
+    joints = ((conj[None] * (hams @ evecs)).sum(1) / (conj * evecs).sum(0)).T.astype(complex)
+    witnesses = [
+        SpectrumWitness(tuple(joint), is_real, max_imag)
+        for joint, is_real, max_imag in zip(
+            joints.tolist(), _is_real_rows(joints).tolist(), np.abs(joints.imag).max(1).tolist()
+        )
+    ]
     return sum(1 for w in witnesses if w.is_real), witnesses
 
 

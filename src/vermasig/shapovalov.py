@@ -49,18 +49,28 @@ def shapovalov_norm(lam: RationalLike, k: int) -> Fraction:
     return Fraction(_norm_numerators(den, [lam.numerator], k)[0], den**k)
 
 
-def _raising_rows(den: int, nums: Sequence[int], m: int) -> list[list[int]]:
-    """D times the raising matrix (level m -> m - 1) for lams = nums / D, as integer rows:
-    composition k maps to k_i*(lam_i - k_i + 1) times k with k_i decremented."""
+def _raising_columns(
+    den: int, nums: Sequence[int], m: int
+) -> tuple[int, list[list[tuple[int, int]]]]:
+    """D times the raising matrix (level m -> m - 1) for lams = nums / D: its row count, and
+    one sparse column per level-m composition k of (row, entry) pairs, mapping k to
+    k_i*(lam_i - k_i + 1) times k with k_i decremented."""
     n = len(nums)
-    src = compositions(m, n)
     index = {c: r for r, c in enumerate(compositions(m - 1, n))} if m >= 1 else {}
-    rows = [[0] * len(src) for _ in index]
-    for c, comp in enumerate(src):
-        for i, k in enumerate(comp):
-            if k:
-                target = comp[:i] + (k - 1,) + comp[i + 1 :]
-                rows[index[target]][c] = k * (nums[i] - (k - 1) * den)
+    return len(index), [
+        [(index[comp[:i] + (k - 1,) + comp[i + 1 :]], k * (nums[i] - (k - 1) * den))
+         for i, k in enumerate(comp) if k]
+        for comp in compositions(m, n)
+    ]
+
+
+def _raising_rows(den: int, nums: Sequence[int], m: int) -> list[list[int]]:
+    """_raising_columns as dense integer rows."""
+    size, cols = _raising_columns(den, nums, m)
+    rows = [[0] * len(cols) for _ in range(size)]
+    for c, col in enumerate(cols):
+        for r, x in col:
+            rows[r][c] = x
     return rows
 
 

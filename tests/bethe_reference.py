@@ -4,6 +4,11 @@ Nothing numeric is shared with ``vermasig.bethe``: the Bethe equations, their
 Jacobian, the Newton polish and the realness test are this module's own
 copies, so the two pipelines polish and classify points independently.
 
+``critical_points_per_witness`` is the critical-point step one witness at a
+time: a Heine-Stieltjes least-squares solve, ``np.roots``, this module's
+polish and ``np.poly`` per witness, then the same greedy duplicate test as the
+library's batched pass.
+
 ``bethe_vector_closed_form`` expands a Bethe vector as an exponential-time
 assignment sum.  ``hamiltonian_matrices_per_factor`` builds each Gaudin
 Hamiltonian H_i on its own, with every Casimir Omega_ij built again for H_j.  ``search_critical_points`` finds critical points by a
@@ -20,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from vermasig.bethe import CriticalPoint, MasterConfig
+from vermasig.bethe import POLISH_ROUNDS, REAL_TOL, RESIDUAL_TOL, CriticalPoint, MasterConfig
 from vermasig.shapovalov import compositions
 
 from closed_form_reference import lex_compositions
@@ -76,7 +81,7 @@ def _too_close(cfg: MasterConfig, t: np.ndarray) -> bool:
     return False
 
 
-def _polish(cfg: MasterConfig, t: np.ndarray, rounds: int = 4) -> tuple[np.ndarray, float]:
+def _polish(cfg: MasterConfig, t: np.ndarray, rounds: int = POLISH_ROUNDS) -> tuple[np.ndarray, float]:
     """Plain Newton at cfg's weights, keeping the iterate of least residual."""
     best, best_res = t, float(np.max(np.abs(_bethe_equations(cfg, t))))
     for _ in range(rounds):
@@ -92,6 +97,43 @@ def _polish(cfg: MasterConfig, t: np.ndarray, rounds: int = 4) -> tuple[np.ndarr
             break
         best, best_res = t, res
     return best, best_res
+
+
+def heine_stieltjes_roots(cfg: MasterConfig, joint) -> np.ndarray:
+    """Unpolished roots of Q from one joint eigenvalue tuple: R from the tuple, then
+    P0 Q'' - P1 Q' + R Q = 0 solved for Q's lower coefficients by least squares."""
+    n, m = cfg.n, cfg.m
+    z, lam, c = cfg.floats
+    # coefficients lowest degree first; cofactors[k] = P0/(x - z_k)
+    p0 = np.poly(z)[::-1]
+    cofactors = np.array([np.poly(np.delete(z, k))[::-1] for k in range(n)])
+    p1 = lam @ cofactors
+    r = ((c - np.array(joint)) @ cofactors)[:-1]
+    r[-1] = m * lam.sum() - m * (m - 1)
+    # column j holds P0 (x^j)'' - P1 (x^j)' + R x^j
+    op = np.zeros((n + m - 1, m + 1), dtype=complex)
+    for j in range(m + 1):
+        for poly, shift, factor in ((p0, 2, j * (j - 1)), (p1, 1, -j), (r, 0, 1)):
+            if j >= shift:
+                op[j - shift : j - shift + len(poly), j] += factor * poly
+    lower = np.linalg.lstsq(op[:, :m], -op[:, m], rcond=None)[0]
+    return np.roots(np.concatenate(([1.0], lower[::-1])))
+
+
+def critical_points_per_witness(cfg: MasterConfig, witnesses) -> list[CriticalPoint]:
+    """One witness at a time: roots, polish, residual gate, then the greedy duplicate
+    test against the points already kept."""
+    points: list[CriticalPoint] = []
+    for witness in witnesses:
+        t, residual = _polish(cfg, heine_stieltjes_roots(cfg, witness.joint))
+        if not residual <= RESIDUAL_TOL:
+            continue
+        qpoly = np.atleast_1d(np.poly(t))
+        scale = 1e-6 * (1.0 + np.max(np.abs(qpoly)))
+        if any(np.max(np.abs(qpoly - np.array(p.qpoly))) < scale for p in points):
+            continue
+        points.append(CriticalPoint(tuple(qpoly.tolist()), residual, _is_real_poly(qpoly, REAL_TOL)))
+    return points
 
 
 def bethe_vector_closed_form(cfg, t):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -27,9 +28,12 @@ from vermasig.bethe import (
 )
 from vermasig.sigchar import is_generic
 
+import bethe_reference
 from bethe_reference import (
     bethe_vector_closed_form,
+    critical_points_per_witness,
     hamiltonian_matrices_per_factor,
+    heine_stieltjes_roots,
     search_critical_points,
 )
 from test_acceptance import _criterion5_instances
@@ -237,6 +241,107 @@ def test_spectral_points_match_reference_search():
             k = int(np.argmin(dist))
             assert dist[k] < 1e-8, (cfg, dist[k])
             assert spectral.pop(k).is_real == p.is_real, cfg
+
+
+def assert_same_points(batched, reference):
+    """Same count and is_real sequence, Q within 1e-10 relative, every residual gated."""
+    assert len(batched) == len(reference)
+    assert [p.is_real for p in batched] == [p.is_real for p in reference]
+    for p, q in zip(batched, reference):
+        a, b = np.array(p.qpoly), np.array(q.qpoly)
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+        assert p.residual <= bethe.RESIDUAL_TOL
+
+
+def test_batched_points_match_per_witness_reference():
+    # two configs per (n, m), n = 2..5, m = 1..4 (m <= 3 at n = 5); z unsorted with denominators
+    rng = random.Random(77)
+    for n, m in [(n, m) for n in range(2, 6) for m in range(1, 5) if (n, m) != (5, 4)] * 2:
+        cfg = replace(random_config(rng, n=n, m_max=1), m=m)
+        _, witnesses = count_real_by_spectrum(cfg, seed=n * 10 + m)
+        batched = find_critical_points(cfg, witnesses)
+        assert_same_points(batched, critical_points_per_witness(cfg, witnesses))
+        assert len(batched) == cfg.dim, cfg
+
+
+def test_batched_polish_matches_per_start_reference():
+    # Heine-Stieltjes roots from perturbed joint tuples (a few Newton steps from
+    # a point) and free complex starts (steps that stall, collide or diverge):
+    # each row of the stack polishes bit for bit as the reference polishes it alone
+    rng, starts_rng = random.Random(5), np.random.default_rng(5)
+    for n, m in [(n, m) for n in (2, 3, 4) for m in (1, 2, 3, 4)]:
+        cfg = replace(random_config(rng, n=n, m_max=1), m=m)
+        _, witnesses = count_real_by_spectrum(cfg, seed=1)
+        starts = [heine_stieltjes_roots(cfg, [mu * (1 + 1e-6) for mu in w.joint]) for w in witnesses]
+        starts += list(4 * (starts_rng.standard_normal((10, m)) + 1j * starts_rng.standard_normal((10, m))))
+        best, residual = bethe._polish(cfg, np.array(starts))
+        for t, got, res in zip(starts, best, residual):
+            want, want_res = bethe_reference._polish(cfg, t)
+            assert np.array_equal(got, want) and res == want_res, (cfg, t)
+
+
+def test_repeated_witness_gives_one_point_less():
+    cfg = MasterConfig((F(0), F(1), F(3)), (F(23, 10), F(17, 10), F(-2, 5)), 2)
+    _, witnesses = count_real_by_spectrum(cfg, seed=3)
+    repeated = [witnesses[0], witnesses[0]] + witnesses[2:]
+    points = find_critical_points(cfg, repeated)
+    assert len(points) == cfg.dim - 1
+    assert_same_points(points, critical_points_per_witness(cfg, repeated))
+
+
+def test_polish_mask_stops_failed_rows_only(monkeypatch):
+    # z_0 = 0, so an iterate t is dtz[..., 0] exactly.  Witness 1's Jacobian is
+    # singular at its first iterate; witness 2's first Newton step lands t_0
+    # exactly on z_0 = 0, so evaluating that row would divide by zero.
+    # Perturbed joint tuples make every row need Newton steps to pass the gate.
+    cfg = MasterConfig((F(0), F(1), F(3), F(7, 2)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 2)
+    _, spectrum = count_real_by_spectrum(cfg, seed=1)
+    witnesses = [replace(w, joint=tuple(mu * (1 + 1e-7) for mu in w.joint)) for w in spectrum]
+    clean = find_critical_points(cfg, witnesses)
+    assert len(clean) == cfg.dim
+    singular, onto_z = (np.sort(heine_stieltjes_roots(cfg, witnesses[k].joint)) for k in (1, 2))
+
+    def fault(t):
+        for target, kind in ((singular, "singular"), (onto_z, "onto_z")):
+            if np.max(np.abs(np.sort(t) - target)) < 1e-8:
+                return kind
+        return None
+
+    def faulty_g(t, g):
+        if fault(t) == "onto_z":
+            g = np.zeros_like(g)
+            g[0] = t[0]
+        return g
+
+    def faulty_jac(t, jac):
+        kind = fault(t)
+        if kind == "singular":
+            return np.zeros_like(jac)
+        return np.eye(len(t), dtype=complex) if kind == "onto_z" else jac
+
+    system = bethe._bethe_system
+
+    def batched_system(cfg, dtz, dtt):
+        g, jac = system(cfg, dtz, dtt)
+        for k, t in enumerate(dtz[:, :, 0]):
+            g[k], jac[k] = faulty_g(t, g[k]), faulty_jac(t, jac[k])
+        return g, jac
+
+    equations, jacobian = bethe_reference._bethe_equations, bethe_reference._bethe_jacobian
+    monkeypatch.setattr(bethe, "_bethe_system", batched_system)
+    monkeypatch.setattr(bethe_reference, "_bethe_equations", lambda cfg, t: faulty_g(t, equations(cfg, t)))
+    monkeypatch.setattr(bethe_reference, "_bethe_jacobian", lambda cfg, t: faulty_jac(t, jacobian(cfg, t)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = find_critical_points(cfg, witnesses)
+        reference = critical_points_per_witness(cfg, witnesses)
+    assert_same_points(points, reference)
+    # both faulted rows keep their unpolished iterates, which fail the gate: witness 1's
+    # is off by the perturbation, and witness 2's faulted residual is |t_0|
+    assert len(points) == cfg.dim - 2
+    # the other witnesses polish as without the faults, bit for bit
+    for k in (0, 3, 4, 5):
+        assert clean[k] in points
 
 
 def test_find_critical_points_rejects_another_configs_witnesses():

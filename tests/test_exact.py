@@ -24,7 +24,7 @@ from vermasig import (
     gram_on_multiplicity,
     singular_basis,
 )
-from vermasig import exact
+from vermasig import bethe, exact
 from vermasig.bethe import hamiltonian_matrices
 from vermasig.shapovalov import (
     compositions,
@@ -281,6 +281,9 @@ def test_gaudin_restriction_matches_reference(monkeypatch):
         for mat, got in zip(hamiltonian_matrices(cfg), system.matrices):
             images = ref.matmul(vectors, [list(col) for col in zip(*mat)])
             assert [list(row) for row in got] == ref.express_in_basis(images, vectors), cfg
+        # the float Hamiltonians of the Rayleigh quotients, bit for bit the Fractions' floats
+        want = np.array(system.matrices, dtype=float)
+        assert bethe._float_matrices(system).tobytes() == want.tobytes(), cfg
         # the first combination count_real_by_spectrum diagonalises, bit for bit
         # the float of the Fraction sum
         eigs.clear()
