@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import mul, truediv
 from typing import Sequence
 
 import numpy as np
@@ -363,29 +363,43 @@ class GaudinSystem:
 
     config: MasterConfig
     basis: SingularBasis
-    matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]
     gram: GramMatrix
-    # (Dz, ((d_i, W_i), ...)) with matrices[i][f][g] = Dz * W_i[f][g] / (d_i * s_f),
-    # s_f the scale of basis.integral_vectors[f]; all integers, Dz, d_i > 0
-    integral_matrices: tuple = field(compare=False, repr=False)
+    # (Dz, L, (V_1, ..., V_n)), R_i[f][g] = Dz V_i[f][g] / (L s_f) with s_f the scale of
+    # basis.integral_vectors[f], all integers, Dz, L > 0; matrices decodes it on first read
+    integral_matrices: tuple[int, int, tuple[tuple[tuple[int, ...], ...], ...]]
+
+    @functools.cached_property
+    def matrices(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        return _decode(self, self.integral_matrices[2], Fraction)
+
+
+def _decode(system: GaudinSystem, ints, div) -> tuple:
+    """div(Dz x, L s_f) at each x in row f of each integer matrix: the V_i give the R_i,
+    sum c_i V_i gives sum c_i R_i; int / int (truediv) rounds as float(Fraction) does."""
+    dz, big, _ = system.integral_matrices
+    scales = [s for s, _ in system.basis.integral_vectors]
+    return tuple(
+        tuple(tuple(div(dz * x, big * s) for x in row) for s, row in zip(scales, mat))
+        for mat in ints
+    )
 
 
 def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     """Restrict the Hamiltonians to the singular vectors and check them exactly, on integers.
 
-    With z = zeta/Dz, lams = a/D and P_i = lcm_{j != i} |zeta_i - zeta_j|, the image
-    w = (2 D^2 P_i / Dz) H_i u_f of a kernel vector u_f = s_f v_f is integral (_images).
-    Kernel vector g is 1 at free column g and 0 at the other free columns, so
-    R_i[f][g] = Dz w[g] / (2 D^2 P_i s_f).  Exact checks: each image is killed by
-    the raising operator, and the R_i commute and are self-adjoint for the Gram matrix.
+    With z = zeta/Dz, lams = a/D, P = lcm_{i<j} |zeta_i - zeta_j| and L = 2 D^2 P, the image
+    w = (L / Dz) H_i u_f of a kernel vector u_f = s_f v_f is integral (_images).  Kernel
+    vector g is 1 at free column g and 0 at the other free columns, so V_i[f] = w read
+    there.  Exact checks: each image is killed by the raising operator, and the R_i
+    commute and are self-adjoint for the Gram matrix.
     """
     cfg.require_generic()
     basis = singular_basis(cfg.weights, cfg.m)
     gram, gram_int = _gram_on_basis(basis)
     (den, nums), kernel = basis.integral_weights, basis.integral_vectors
     dz, zeta = exact._integer_row(cfg.z)
-    lcms = [math.lcm(*(zi - zj for zj in zeta if zj != zi)) for zi in zeta]
-    images = _images(basis, zeta, lcms)
+    p = math.lcm(*(zi - zj for zi, zj in itertools.combinations(zeta, 2)))
+    images = _images(basis, zeta, p)
     # each image is killed by the raising operator, applied column by column
     size, columns = _raising_columns(den, nums, cfg.m)
     for w in itertools.chain.from_iterable(images):
@@ -398,25 +412,20 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
             raise InvariantError(
                 "a Gaudin Hamiltonian leaves the multiplicity space: arithmetic bug"
             )
-    parts = tuple(
-        (2 * den * den * p, tuple(tuple(w[g] for g in basis.free_columns) for w in per_i))
-        for p, per_i in zip(lcms, images)
-    )
     restricted = tuple(
-        tuple(tuple(Fraction(dz * x, d * s) for x in row) for (s, _), row in zip(kernel, ints))
-        for d, ints in parts
+        tuple(tuple(w[g] for g in basis.free_columns) for w in per_i) for per_i in images
     )
     big = math.lcm(*(s for s, _ in kernel))
     sigma = [big // s for s, _ in kernel]
-    for (_, a), (_, b) in itertools.combinations(parts, 2):
+    for a, b in itertools.combinations(restricted, 2):
         _check_commute(a, b, sigma)
-    for _, ints in parts:
+    for ints in restricted:
         _check_self_adjoint(ints, gram_int, sigma)
-    return GaudinSystem(cfg, basis, restricted, gram, (dz, parts))
+    return GaudinSystem(cfg, basis, gram, (dz, 2 * den * den * p, restricted))
 
 
-def _images(basis: SingularBasis, zeta: list[int], lcms: list[int]) -> list[list[list[int]]]:
-    """images[i][f] = sum_{j != i} P_i/(zeta_i - zeta_j) 2D^2 Omega_ij u_f, once per pair i < j.
+def _images(basis: SingularBasis, zeta: list[int], p: int) -> list[list[list[int]]]:
+    """images[i][f] = sum_{j != i} P/(zeta_i - zeta_j) 2D^2 Omega_ij u_f, once per pair i < j.
 
     2D^2 Omega_ij moves a unit from factor a to b, {a, b} = {i, j}, by 2D k (a_a - (k - 1) D)
     with k = k_a, and scales by (a_i - 2 k_i D)(a_j - 2 k_j D).
@@ -435,7 +444,7 @@ def _images(basis: SingularBasis, zeta: list[int], lcms: list[int]) -> list[list
                     if k := comp[a]:
                         target = tuple(v - (e == a) + (e == b) for e, v in enumerate(comp))
                         omega[index[target]] += 2 * den * k * (nums[a] - (k - 1) * den) * x
-            for t, wt in ((i, lcms[i] // (zeta[i] - zeta[j])), (j, lcms[j] // (zeta[j] - zeta[i]))):
+            for t, wt in ((i, p // (zeta[i] - zeta[j])), (j, p // (zeta[j] - zeta[i]))):
                 out[t][f] = [y + wt * o for y, o in zip(out[t][f], omega)]
     return out
 
@@ -447,26 +456,18 @@ def _product(a, sigma: Sequence[int], b) -> list[list[int]]:
 
 
 def _check_commute(a, b, sigma: Sequence[int]) -> None:
-    # R_i = c_i S^-1 W_i with S = diag(s_f) and scalars c_i, so R_a R_b = R_b R_a
-    # iff W_a Sigma W_b = W_b Sigma W_a, Sigma = diag(lcm(s) / s_f)
+    # R_i = c S^-1 V_i with S = diag(s_f) and a scalar c, so R_a R_b = R_b R_a
+    # iff V_a Sigma V_b = V_b Sigma V_a, Sigma = diag(lcm(s) / s_f)
     if _product(a, sigma, b) != _product(b, sigma, a):
         raise InvariantError("Gaudin Hamiltonians fail to commute: arithmetic bug")
 
 
 def _check_self_adjoint(ints, gram_int, sigma: Sequence[int]) -> None:
     # R (H s_u = sum R[u][w] s_w) is self-adjoint for G = S^-1 G_int S^-1 / D^m
-    # when G R^T is symmetric; with R = c S^-1 W, when W Sigma G_int is
+    # when G R^T is symmetric; with R = c S^-1 V, when V Sigma G_int is
     gr = _product(ints, sigma, gram_int)
     if any(gr[i][j] != gr[j][i] for i in range(len(gr)) for j in range(i)):
         raise InvariantError("Hamiltonian is not self-adjoint for the induced form: arithmetic bug")
-
-
-def _float_matrices(system: GaudinSystem) -> np.ndarray:
-    """system.matrices as one float array (n, r, r), each entry the float of its Fraction."""
-    dz, parts = system.integral_matrices
-    scales = [s for s, _ in system.basis.integral_vectors]
-    # Dz W_i[f][g] / (d_i s_f) as int / int, which rounds as float(Fraction) does
-    return np.array([[[dz * x / (d * s) for x in row] for s, row in zip(scales, w)] for d, w in parts])
 
 
 def hamiltonian_eigenvalue(cfg: MasterConfig, i: int, qpoly: Sequence[complex]) -> complex:
@@ -530,19 +531,14 @@ def count_real_by_spectrum(cfg: MasterConfig, seed: int = 0) -> tuple[int, list[
     """
     system = gaudin_system(cfg)
     r = system.basis.dim
-    hams = _float_matrices(system)
-    dz, parts = system.integral_matrices
-    big = math.lcm(*(d for d, _ in parts))
+    ints = system.integral_matrices[2]
+    hams = np.array(_decode(system, ints, truediv))
     rng = random.Random(seed)
     last_gap = None
     for _ in range(SPECTRUM_RETRIES):
         combo = [rng.randint(1, 10**6) for _ in range(cfg.n)]
-        # sum_i combo_i R_i over lcm(d_i) s_u; int / int rounds as float(Fraction) does
-        coefs = [c * (big // d) for c, (d, _) in zip(combo, parts)]
-        mat = np.array([
-            [dz * sum(map(mul, coefs, col)) / (big * s) for col in zip(*rows)]
-            for (s, _), rows in zip(system.basis.integral_vectors, zip(*(w for _, w in parts)))
-        ])
+        combined = [[sum(map(mul, combo, col)) for col in zip(*rows)] for rows in zip(*ints)]
+        mat = np.array(_decode(system, [combined], truediv)[0])
         evals, evecs = np.linalg.eig(mat)
         scale = max(1.0, float(np.max(np.abs(evals))))
         pair = np.abs(evals[:, None] - evals[None, :]) + np.diag([np.inf] * r)

@@ -21,6 +21,7 @@ from .sigchar import (
     DomainError,
     InvariantError,
     RationalLike,
+    ensure_generic_tuple,
     fractionize,
     peel_decompose,
 )
@@ -255,7 +256,7 @@ def verify_type(
 
 def explicit_type_of(lams: Sequence[RationalLike]) -> ExplicitType:
     """Explicit type of a generic weight tuple (factors sorted descending)."""
-    lams = sorted((fractionize(l) for l in lams), reverse=True)
+    lams = sorted(ensure_generic_tuple(lams), reverse=True)
     return ExplicitType(
         total_floor=math.floor(sum(lams)),
         factor_floors=tuple(math.floor(l) for l in lams),

@@ -81,10 +81,15 @@ def _emit(args, command: str, config: dict, rows: list[dict], columns: list[str]
             if "verified" in fields:
                 lines.append(f"verified: {fields['verified']}")
         text = "\n".join(lines)
+    # --out is opened first, so a path that cannot be opened prints no report
+    try:
+        out = open(args.out, "a", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        raise UsageError(f"cannot open --out: {exc}") from None
     print(text)
-    if args.out:
-        with open(args.out, "a", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if out:
+        with out:
+            out.write(text + "\n")
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:

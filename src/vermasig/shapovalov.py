@@ -14,6 +14,7 @@ anywhere in this module; it is the trust anchor for the other modules' tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,16 +88,20 @@ class SingularBasis:
     lams: tuple[Fraction, ...]
     m: int
     compositions: tuple[tuple[int, ...], ...]
-    vectors: tuple[tuple[Fraction, ...], ...]
-    # (D, D * lams) and, per vector v, (s, s * v), both integral with D, s > 0;
-    # vector f is 1 at free_columns[f] and 0 at every other free column
+    # (D, D * lams) and per vector v its canonical (s, s * v), s > 0 least; vector f is 1
+    # at free_columns[f], 0 at every other free column; vectors decodes them on first read
     integral_weights: tuple[int, tuple[int, ...]] = field(compare=False, repr=False)
-    integral_vectors: tuple[tuple[int, tuple[int, ...]], ...] = field(compare=False, repr=False)
+    integral_vectors: tuple[tuple[int, tuple[int, ...]], ...]
     free_columns: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.integral_vectors)
+
+    @functools.cached_property
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        kernel = self.integral_vectors
+        return tuple(tuple(Fraction(x, s) if x else _ZERO for x in u) for s, u in kernel)
 
 
 def singular_basis(lams: Sequence[RationalLike], m: int) -> SingularBasis:
@@ -114,8 +119,7 @@ def singular_basis(lams: Sequence[RationalLike], m: int) -> SingularBasis:
         raise GenericityError(
             f"kernel dimension {len(kernel)} != {expected}; weights are degenerate"
         )
-    vectors = tuple(tuple(Fraction(x, s) if x else _ZERO for x in u) for s, u in kernel)
-    return SingularBasis(lams, m, comps, vectors, (den, tuple(nums)), tuple(kernel), tuple(free))
+    return SingularBasis(lams, m, comps, (den, tuple(nums)), tuple(kernel), tuple(free))
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,19 @@ def test_gaudin_system_invariants_checked_exactly():
     assert all(gram.entries[i][j] == gram.entries[j][i] for i in range(r) for j in range(r))
 
 
+def test_gaudin_system_stores_integers_and_decodes_matrices_on_read():
+    cfg = MasterConfig((F(0), F(1), F(3), F(7, 2)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 2)
+    system = gaudin_system(cfg)
+    # no Fraction copy is built beside the integer forms
+    assert "matrices" not in vars(system) and "vectors" not in vars(system.basis)
+    again = gaudin_system(cfg)
+    assert system == again and hash(system) == hash(again)
+    assert gaudin_system(replace(cfg, z=(F(0), F(1), F(3), F(9, 2)))) != system
+    assert gaudin_system(replace(cfg, weights=cfg.weights[:3] + (F(-32, 7),))) != system
+    assert system.matrices is system.matrices
+    assert system.basis.vectors is system.basis.vectors
+
+
 def test_gaudin_level_structure_n2():
     cfg = MasterConfig((F(0), F(1)), (F(1, 2), F(1, 3)), 1)
     system = gaudin_system(cfg)

@@ -110,6 +110,7 @@ GENERIC_Q = ["quantum", "--a", "2,2", "--t", "1/23", "-m", "1"]
         # non-generic weights: a weight, or the sum, is a nonnegative integer
         ["quantum", "--q1", "--weights", "1,2", "--max-level", "2"],
         ["quantum", "--q1", "--weights", "1/2,1/2", "--max-level", "2"],
+        ["classify", "--weights", "1,2"],
     ],
 )
 def test_quantum_rejects_unused_or_negative_flags(capsys, argv):
@@ -179,6 +180,14 @@ def test_out_file_matches_stdout(capsys, tmp_path, argv):
     assert out_path.read_text() == out
     if "--verify" in argv:
         assert out.endswith("verified: True\n")
+
+
+def test_out_that_cannot_be_opened_is_a_usage_error(capsys, tmp_path):
+    # the report is not printed when --out (here a directory) cannot be opened
+    argv = ["decompose", "--weights", "-1/2,-1/2", "--max-level", "1", "--out", str(tmp_path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot open --out:")
 
 
 SWEEP = ["bethe", "--weights", "-1/2,-3/4,-7/5", "--z", "0,1,3", "--sweep", "m=1..2", "--json"]
@@ -299,6 +308,7 @@ def test_usage_error_on_unknown_subcommand(capsys):
     [
         ["decompose", "--weights", "1/2,1/2", "--max-level", "2"],
         ["quantum", "--q1", "--weights", "1/2,1/2", "--max-level", "2"],
+        ["classify", "--weights", "1/2,1/2"],
     ],
 )
 def test_nongeneric_total_is_named(capsys, argv):

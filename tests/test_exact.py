@@ -6,6 +6,7 @@ elimination, not merely equivalent ones.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -283,7 +284,8 @@ def test_gaudin_restriction_matches_reference(monkeypatch):
             assert [list(row) for row in got] == ref.express_in_basis(images, vectors), cfg
         # the float Hamiltonians of the Rayleigh quotients, bit for bit the Fractions' floats
         want = np.array(system.matrices, dtype=float)
-        assert bethe._float_matrices(system).tobytes() == want.tobytes(), cfg
+        floats = np.array(bethe._decode(system, system.integral_matrices[2], operator.truediv))
+        assert floats.tobytes() == want.tobytes(), cfg
         # the first combination count_real_by_spectrum diagonalises, bit for bit
         # the float of the Fraction sum
         eigs.clear()

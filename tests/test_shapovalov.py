@@ -62,6 +62,16 @@ def test_singular_basis_level0_and_counts():
         assert singular_basis(lams, m).dim == math.comb(m + 1, 1)
 
 
+def test_singular_basis_stores_integers_and_decodes_vectors_on_read():
+    lams = (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7))
+    sb, again = singular_basis(lams, 3), singular_basis(lams, 3)
+    assert "vectors" not in vars(sb)
+    assert sb == again and hash(sb) == hash(again)
+    assert singular_basis(lams[:3] + (F(-32, 7),), 3) != sb
+    assert sb.vectors is sb.vectors
+    assert sb.vectors == again.vectors
+
+
 def test_singular_basis_n2_closed_form():
     lam1, lam2 = F(5, 2), F(-7, 10)
     sb = singular_basis((lam1, lam2), 1)
