@@ -45,8 +45,8 @@ from .shapovalov import (
     GramMatrix,
     Matrix,
     SingularBasis,
+    _check_killed,
     _gram_on_basis,
-    _raising_columns,
     compositions,
     raising_matrix,
     singular_basis,
@@ -400,18 +400,10 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     dz, zeta = exact._integer_row(cfg.z)
     p = math.lcm(*(zi - zj for zi, zj in itertools.combinations(zeta, 2)))
     images = _images(basis, zeta, p)
-    # each image is killed by the raising operator, applied column by column
-    size, columns = _raising_columns(den, nums, cfg.m)
-    for w in itertools.chain.from_iterable(images):
-        raised = [0] * size
-        for x, column in zip(w, columns):
-            if x:
-                for row, e in column:
-                    raised[row] += e * x
-        if any(raised):
-            raise InvariantError(
-                "a Gaudin Hamiltonian leaves the multiplicity space: arithmetic bug"
-            )
+    _check_killed(
+        den, nums, cfg.m, itertools.chain.from_iterable(images),
+        "a Gaudin Hamiltonian leaves the multiplicity space: an image is",
+    )
     restricted = tuple(
         tuple(tuple(w[g] for g in basis.free_columns) for w in per_i) for per_i in images
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -81,15 +82,20 @@ def _emit(args, command: str, config: dict, rows: list[dict], columns: list[str]
             if "verified" in fields:
                 lines.append(f"verified: {fields['verified']}")
         text = "\n".join(lines)
-    # --out is opened first, so a path that cannot be opened prints no report
+    # --out is written first: a path that cannot be opened prints no report, and
+    # a reader that closes stdout early (`| head`) does not cost the file its copy
     try:
         out = open(args.out, "a", encoding="utf-8") if args.out else None
     except OSError as exc:
         raise UsageError(f"cannot open --out: {exc}") from None
-    print(text)
     if out:
         with out:
             out.write(text + "\n")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # not an error of this command; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:

@@ -1,12 +1,12 @@
-"""Exact linear algebra over Q on integer rows: kernels, solves, Gram matrices, inertia.
+"""Exact linear algebra over Q on integer rows: solves, Gram matrices, inertia.
 
 Rows are cleared to integers (a row over a positive denominator is the same
 rational row), then eliminated fraction-free: ``pivot * row - factor *
 pivot_row``, divided by the gcd of its entries and denominator, so numbers
 stay as small as the reduced rationals of a Fraction elimination.  Unlike
 Bareiss's exact-division update this leaves rows with a zero in the pivot
-column untouched, which matters on the sparse raising matrices.  Results
-equal a Fraction elimination's exactly; nothing here uses floating point.
+column untouched, so sparse rows stay sparse.  Results equal a Fraction
+elimination's exactly; nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -53,27 +53,6 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
                 rows[i] = [a // g for a in new] if g > 1 else new
         pivots.append(c)
     return pivots
-
-
-def nullspace(rows: list[list[int]], ncols: int) -> tuple[list[int], list[tuple[int, tuple]]]:
-    """Exact kernel of integer rows (eliminated in place), one vector per free column.
-
-    The vector of free column f has 1 at f and minus the RREF entry of column
-    f at each pivot column, so the basis is canonical for the matrix.  Returns
-    the free columns in order, and each vector as (s, u): u = s * vector is
-    integral, with s > 0 the least such.
-    """
-    pivots = _gauss_jordan(rows, ncols)
-    free = sorted(set(range(ncols)) - set(pivots))
-    basis = []
-    for f in free:
-        scale = math.lcm(*(row[pc] // math.gcd(row[f], row[pc]) for row, pc in zip(rows, pivots)))
-        vec = [0] * ncols
-        vec[f] = scale
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[f] * scale // row[pc]
-        basis.append((scale, tuple(vec)))
-    return free, basis
 
 
 def express_in_basis(

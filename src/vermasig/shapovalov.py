@@ -2,19 +2,23 @@
 
 Works in the weight-(lam - 2m) space of M_{lam_1} x ... x M_{lam_n}, spanned by
 vectors F^{k_1}v_1 x ... x F^{k_n}v_n indexed by compositions of m.  The
-raising operator acts factorwise, its exact rational nullspace is the level-m
-multiplicity space, and the product Shapovalov form restricted to that
-nullspace is diagonalized by congruence to read off inertia.  The weights are
-cleared once to integers over a common denominator D; the raising matrix
-times D, its kernel (a positive scale and an integer vector per free column),
-the norms times D^m and the Gram matrix are integers, and one elimination of
-that Gram matrix decides both nondegeneracy and inertia.  No floating point
-anywhere in this module; it is the trust anchor for the other modules' tests.
+raising operator acts factorwise, its kernel is the level-m multiplicity
+space, and the product Shapovalov form restricted to that kernel is
+diagonalized by congruence to read off inertia.  The weights are cleared once
+to integers over a common denominator D.  The raising equations are
+triangular in the first factor, so the kernel comes from an integer recursion
+over the first part, without elimination, and is then checked exactly against
+the raising operator.  The kernel (a positive scale and an integer vector per
+free column), the norms times D^m and the Gram matrix are integers, and one
+elimination of that Gram matrix decides both nondegeneracy and inertia.  No
+floating point anywhere in this module; it is the trust anchor for the other
+modules' tests.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,11 +26,13 @@ from typing import Sequence
 
 from . import exact
 from .exact import Matrix, express_in_basis  # express_in_basis is part of this module's API
-from .sigchar import DomainError, GenericityError, RationalLike, ensure_generic, multiplicity_dim
+from .sigchar import DomainError, GenericityError, InvariantError, RationalLike, ensure_generic
 
 _ZERO = Fraction(0)
 
 
+# cached: a basis, its kernel check and its norms enumerate the same few levels
+@functools.lru_cache(maxsize=256)
 def compositions(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Compositions of m into n nonnegative parts, in colexicographic order.
 
@@ -65,20 +71,29 @@ def _raising_columns(
     ]
 
 
-def _raising_rows(den: int, nums: Sequence[int], m: int) -> list[list[int]]:
-    """_raising_columns as dense integer rows."""
-    size, cols = _raising_columns(den, nums, m)
-    rows = [[0] * len(cols) for _ in range(size)]
-    for c, col in enumerate(cols):
-        for r, x in col:
-            rows[r][c] = x
-    return rows
+def _check_killed(den: int, nums: Sequence[int], m: int, vectors, what: str) -> None:
+    """Raise InvariantError unless D times the raising operator, applied column by
+    column, kills each integer level-m vector; ``what`` names the vectors."""
+    size, columns = _raising_columns(den, nums, m)
+    for w in vectors:
+        raised = [0] * size
+        for x, column in zip(w, columns):
+            if x:
+                for row, e in column:
+                    raised[row] += e * x
+        if any(raised):
+            raise InvariantError(f"{what} not killed by the raising operator: arithmetic bug")
 
 
 def raising_matrix(lams: Sequence[Fraction], m: int) -> Matrix:
     """Matrix of the coproduct raising operator, level m -> level m - 1."""
     den, nums = exact._integer_row(lams)
-    return [[Fraction(x, den) for x in row] for row in _raising_rows(den, nums, m)]
+    size, cols = _raising_columns(den, nums, m)
+    rows = [[_ZERO] * len(cols) for _ in range(size)]
+    for c, col in enumerate(cols):
+        for r, x in col:
+            rows[r][c] = Fraction(x, den)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -110,16 +125,65 @@ def singular_basis(lams: Sequence[RationalLike], m: int) -> SingularBasis:
         raise DomainError("need at least two tensor factors")
     if m < 0:
         raise DomainError("level must be nonnegative")
-    n = len(lams)
-    comps = compositions(m, n)
+    comps = compositions(m, len(lams))
     den, nums = exact._integer_row(lams)
-    free, kernel = exact.nullspace(_raising_rows(den, nums, m), len(comps))
-    expected = multiplicity_dim(n, m)
-    if len(kernel) != expected:
-        raise GenericityError(
-            f"kernel dimension {len(kernel)} != {expected}; weights are degenerate"
-        )
+    free, kernel = _kernel(den, nums, m)
+    _check_killed(den, nums, m, (u for _, u in kernel), "a singular vector is")
     return SingularBasis(lams, m, comps, (den, tuple(nums)), tuple(kernel), tuple(free))
+
+
+def _kernel(
+    den: int, nums: Sequence[int], m: int
+) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
+    """The free columns and each kernel vector v of the raising operator as (s, s * v).
+
+    Equation j (a level-(m - 1) composition) of E v = 0 holds one unknown with first
+    part j_1 + 1, and its coefficient (j_1 + 1)(lam_1 - j_1) is nonzero for generic
+    lam_1, so the kernel is fixed by its values at the compositions with k_1 = 0: the
+    free columns of the reduced row echelon form.  Vector f is 1 at free column f and
+    0 at the others.  With lams = a / D and M_1(t) = prod_{t' < t} (t' + 1)(a_1 - t'D),
+    y = M_1(k_1) v is integral:
+
+        y(j + e_1) = -sum_{i >= 2} (j_i + 1)(a_i - j_i D) y(j + e_i).
+
+    y is nonzero only at k = f + |d| e_1 - d for 0 <= d <= f on parts 2..n; they are
+    visited in an order that reaches d - e_i before d.  M_1(m) v =
+    y M_1(m) / M_1(k_1) is divided by its gcd, so s > 0 is the least scale.
+    """
+    comps = compositions(m, len(nums))
+    index = {c: r for r, c in enumerate(comps)}
+    # coef[i][t] = (t + 1)(a_i - tD), the entry of D E at a part i equal to t + 1
+    coef = [[(t + 1) * (a - t * den) for t in range(m)] for a in nums]
+    tail = [1] * (m + 1)  # tail[t] = M_1(m) / M_1(t)
+    for t in range(m - 1, -1, -1):
+        tail[t] = tail[t + 1] * coef[0][t]
+    sign = 1 if tail[0] > 0 else -1  # so that s = tail[0] / (gcd * sign) > 0
+    free, kernel = [], []
+    for col, f in enumerate(comps):
+        if f[0]:
+            continue
+        rest = f[1:]
+        # y[pos] at the flat position of d = rest - k in the box d <= rest, last part fastest
+        strides = [math.prod(x + 1 for x in rest[i + 1 :]) for i in range(len(rest))]
+        parts = list(zip(coef[1:], rest, strides))
+        y, cols, vals = [], [], []
+        for krest in itertools.product(*[range(x, -1, -1) for x in rest]):
+            pos = len(y)
+            value = 0 if pos else 1
+            for (c, x, stride), k in zip(parts, krest):
+                if k < x:
+                    value -= c[k] * y[pos - stride]
+            y.append(value)
+            k1 = m - sum(krest)
+            cols.append(index[(k1,) + krest])
+            vals.append(value * tail[k1])
+        g = math.gcd(*vals) * sign
+        vec = [0] * len(comps)
+        for c, v in zip(cols, vals):
+            vec[c] = v // g
+        free.append(col)
+        kernel.append((tail[0] // g, tuple(vec)))
+    return free, kernel
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,17 @@ Gauss-Jordan and congruence diagonalization on ``fractions.Fraction``
 entries, the raising matrix and the diagonal of the product form with each
 factor multiplied out in Fractions, and Gram entries as sums of Fraction
 products.  The tests require the library to return exactly these values.
+``integer_nullspace`` is the integer Gauss-Jordan kernel the oracle used
+before its singular vectors came from a triangular recursion; it is the
+second reference for that recursion.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from vermasig.exact import _gauss_jordan
 
 
 def rref(mat):
@@ -52,6 +58,27 @@ def nullspace(mat, ncols):
             vec[pc] = -rows[r][f]
         basis.append(vec)
     return basis
+
+
+def integer_nullspace(rows, ncols):
+    """Exact kernel of integer rows (eliminated in place), one vector per free column.
+
+    The vector of free column f has 1 at f and minus the RREF entry of column
+    f at each pivot column, so the basis is canonical for the matrix.  Returns
+    the free columns in order, and each vector as (s, u): u = s * vector is
+    integral, with s > 0 the least such.
+    """
+    pivots = _gauss_jordan(rows, ncols)
+    free = sorted(set(range(ncols)) - set(pivots))
+    basis = []
+    for f in free:
+        scale = math.lcm(*(row[pc] // math.gcd(row[f], row[pc]) for row, pc in zip(rows, pivots)))
+        vec = [0] * ncols
+        vec[f] = scale
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[f] * scale // row[pc]
+        basis.append((scale, tuple(vec)))
+    return free, basis
 
 
 def express_in_basis(targets, basis):

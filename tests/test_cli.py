@@ -190,6 +190,25 @@ def test_out_that_cannot_be_opened_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: cannot open --out:")
 
 
+def test_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path):
+    # about 200 kB of table, more than a pipe holds: the print meets the closed pipe
+    out_path = tmp_path / "report.txt"
+    argv = ["decompose", "--weights", "-1/2,-1/2", "--max-level", "6000", "--out", str(out_path)]
+    src = os.path.dirname(os.path.dirname(vermasig.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vermasig.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+    report = out_path.read_text()
+    assert report.startswith(first.decode()) and len(report.splitlines()) == 6003
+
+
 SWEEP = ["bethe", "--weights", "-1/2,-3/4,-7/5", "--z", "0,1,3", "--sweep", "m=1..2", "--json"]
 
 

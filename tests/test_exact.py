@@ -1,8 +1,9 @@
 """The integer core ``vermasig.exact`` against the Fraction reference in ``fraction_reference``.
 
 Every comparison is exact equality of rationals: the core must return the
-same kernel vectors, coordinates, Gram entries and inertia as plain Fraction
-elimination, not merely equivalent ones.
+same coordinates, Gram entries and inertia as plain Fraction elimination, and
+the oracle's singular vectors must equal the kernel vectors of both the
+integer and the Fraction Gauss-Jordan reference, not merely equivalent ones.
 """
 
 import math
@@ -60,9 +61,9 @@ def random_symmetric(rng, size, zero_diagonal=False):
 
 
 def rational_kernel(mat, ncols):
-    """exact.nullspace on the cleared rows of a rational matrix, as rational vectors."""
+    """The integer reference kernel of the cleared rows of a rational matrix, as rational vectors."""
     out = []
-    free, kernel = exact.nullspace([exact._integer_row(row)[1] for row in mat], ncols)
+    free, kernel = ref.integer_nullspace([exact._integer_row(row)[1] for row in mat], ncols)
     assert len(free) == len(kernel)
     for f, (scale, vec) in zip(free, kernel):
         rational = [F(x, scale) for x in vec]
@@ -227,8 +228,46 @@ def test_gaudin_gram_carries_reference_inertia():
         assert exact_signature(GramMatrix(gram.entries)) == exact_signature(gram), cfg
 
 
+def basis_instances():
+    """(lams, m) for n = 2..5 and m <= 6 (m <= 4 at n = 5): unsorted weights, lam_1 = -3,
+    lam_1 with denominator 97, and m = 0 among them."""
+    rng = random.Random(15)
+    out = [
+        ((F(-3), F(5, 2), F(-7, 3)), 4),
+        ((F(-3), F(-1, 2)), 6),
+        ((F(-3), F(11, 97), F(-2, 5), F(9, 2)), 0),
+        ((F(150, 97), F(-1, 2), F(7, 3)), 5),
+        ((F(-13, 97), F(-3), F(5, 7), F(1, 2), F(-9, 2)), 4),
+        ((F(9, 2), F(-1, 3), F(5, 2), F(-7, 5)), 3),  # sorted neither way
+    ]
+    for n in range(2, 6):
+        for m in range(0, (4 if n == 5 else 6) + 1):
+            lams = random_generic_tuple(rng, n, denoms=(1, 2, 3, 7, 97), span=60)
+            out.append((tuple(lams), m))
+    return out
+
+
+def test_singular_basis_matches_both_references():
+    """The triangular recursion gives the kernel vectors of integer and Fraction Gauss-Jordan."""
+    instances = basis_instances()
+    assert {len(lams) for lams, _ in instances} == {2, 3, 4, 5}
+    assert any(m == 0 for _, m in instances)
+    assert any(list(lams) != sorted(lams) and list(lams) != sorted(lams, reverse=True) for lams, _ in instances)
+    for lams, m in instances:
+        basis = singular_basis(lams, m)
+        comps, n = compositions(m, len(lams)), len(lams)
+        emat = ref.raising_matrix(lams, comps, compositions(m - 1, n)) if m else []
+        den = math.lcm(*(lam.denominator for lam in lams))
+        free, kernel = ref.integer_nullspace([[int(den * x) for x in row] for row in emat], len(comps))
+        assert basis.integral_vectors == tuple(kernel), (lams, m)
+        assert basis.free_columns == tuple(free), (lams, m)
+        assert [list(v) for v in basis.vectors] == ref.nullspace(emat, len(comps)), (lams, m)
+        # the free columns are the compositions with no unit in the first factor
+        assert basis.free_columns == tuple(c for c, comp in enumerate(comps) if comp[0] == 0)
+
+
 def test_one_elimination_per_gram(monkeypatch):
-    """The oracle runs Gauss-Jordan on the integer raising rows and one inertia, on integers."""
+    """The oracle runs no Gauss-Jordan and one integer inertia per Gram matrix."""
     calls = {"inertia": [], "gauss_jordan": []}
     real_inertia, real_gauss_jordan = exact.inertia, exact._gauss_jordan
 
@@ -243,16 +282,13 @@ def test_one_elimination_per_gram(monkeypatch):
     monkeypatch.setattr(exact, "inertia", inertia)
     monkeypatch.setattr(exact, "_gauss_jordan", gauss_jordan)
     lams = (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7))
-    m = 3
-    got = exact_signature(gram_on_multiplicity(lams, m))
-    assert len(calls["gauss_jordan"]) == 1 and len(calls["inertia"]) == 1
-    # Gauss-Jordan sees D times the raising matrix, D = 70 the weights' common denominator
-    emat = ref.raising_matrix(lams, compositions(m, 4), compositions(m - 1, 4))
-    assert calls["gauss_jordan"][0] == [[70 * x for x in row] for row in emat]
-    # no Fraction reaches either elimination
-    for rows in calls["gauss_jordan"] + calls["inertia"]:
-        assert all(type(x) is int for row in rows for x in row)
-    assert got == ref.inertia(calls["inertia"][0])
+    for m in range(5):
+        calls["inertia"].clear()
+        got = exact_signature(gram_on_multiplicity(lams, m))
+        assert calls["gauss_jordan"] == [] and len(calls["inertia"]) == 1, m
+        # no Fraction reaches the elimination
+        assert all(type(x) is int for row in calls["inertia"][0] for x in row)
+        assert got == ref.inertia(calls["inertia"][0])
 
 
 def restriction_configs():

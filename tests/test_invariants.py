@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from vermasig import InvariantError, MasterConfig, SCoeff, bethe, gaudin_system, peel_decompose, sigchar
+from vermasig import (
+    InvariantError, MasterConfig, SCoeff, bethe, gaudin_system, peel_decompose, shapovalov, sigchar,
+    singular_basis,
+)
 from vermasig.bethe import _check_commute, _check_self_adjoint
 from vermasig.classify import _merge
 
@@ -28,6 +31,17 @@ def corrupted_images(*args):
     out[1][0][0] += 1
     return out
 
+KERNEL = shapovalov._kernel
+BASIS_ARGS = ((F(23, 10), F(17, 10), F(-2, 5)), 2)
+
+
+def corrupted_kernel(*args):
+    """singular_basis's kernel with one entry of the first vector pushed off the kernel."""
+    free, kernel = KERNEL(*args)
+    s, u = kernel[0]
+    kernel[0] = (s, (u[0] + 1,) + u[1:])
+    return free, kernel
+
 PEEL_ARGS = ([F(7, 2), F(-1, 3)], 6)
 NUMERATOR_PRODUCT = sigchar._numerator_product
 
@@ -46,6 +60,11 @@ def test_invariant_violations_raise(monkeypatch):
         _check_commute(*NON_COMMUTING)
     with pytest.raises(InvariantError):
         _check_self_adjoint(*NOT_SELF_ADJOINT)
+    singular_basis(*BASIS_ARGS)
+    with monkeypatch.context() as patch:
+        patch.setattr(shapovalov, "_kernel", corrupted_kernel)
+        with pytest.raises(InvariantError, match="singular vector is not killed"):
+            singular_basis(*BASIS_ARGS)
     gaudin_system(GAUDIN_CFG)
     monkeypatch.setattr(bethe, "_images", corrupted_images)
     with pytest.raises(InvariantError, match="leaves the multiplicity space"):
@@ -59,7 +78,7 @@ def test_invariant_violations_raise(monkeypatch):
 def test_invariant_violations_raise_under_optimize():
     program = "\n".join([
         "from fractions import Fraction",
-        "from vermasig import InvariantError, MasterConfig, SCoeff, bethe, gaudin_system, peel_decompose, sigchar",
+        "from vermasig import InvariantError, MasterConfig, SCoeff, bethe, gaudin_system, peel_decompose, shapovalov, sigchar",
         "from vermasig.bethe import _check_commute, _check_self_adjoint",
         "from vermasig.classify import _merge",
         "assert False, 'asserts must be stripped under -O'",
@@ -78,6 +97,18 @@ def test_invariant_violations_raise_under_optimize():
         f"    _check_self_adjoint(*{NOT_SELF_ADJOINT!r})",
         "except InvariantError:",
         "    print('self-adjoint raised')",
+        "kernel = shapovalov._kernel",
+        "def corrupted_kernel(*args):",
+        "    free, vectors = kernel(*args)",
+        "    s, u = vectors[0]",
+        "    vectors[0] = (s, (u[0] + 1,) + u[1:])",
+        "    return free, vectors",
+        "shapovalov._kernel = corrupted_kernel",
+        "try:",
+        f"    shapovalov.singular_basis(*{BASIS_ARGS!r})",
+        "except InvariantError as error:",
+        "    print('kernel raised' if 'singular vector is not killed' in str(error) else error)",
+        "shapovalov._kernel = kernel",
         "images = bethe._images",
         "def corrupted_images(*args):",
         "    out = images(*args)",
@@ -104,6 +135,7 @@ def test_invariant_violations_raise_under_optimize():
         [sys.executable, "-O", "-c", program], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:5] == [
-        "merge raised", "commute raised", "self-adjoint raised", "invariance raised", "peel raised"
+    assert proc.stdout.split("\n")[:6] == [
+        "merge raised", "commute raised", "self-adjoint raised", "kernel raised", "invariance raised",
+        "peel raised",
     ]
