@@ -395,7 +395,7 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     """
     cfg.require_generic()
     basis = singular_basis(cfg.weights, cfg.m)
-    gram, gram_int = _gram_on_basis(basis)
+    gram = _gram_on_basis(basis)
     (den, nums), kernel = basis.integral_weights, basis.integral_vectors
     dz, zeta = exact._integer_row(cfg.z)
     p = math.lcm(*(zi - zj for zi, zj in itertools.combinations(zeta, 2)))
@@ -412,7 +412,7 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     for a, b in itertools.combinations(restricted, 2):
         _check_commute(a, b, sigma)
     for ints in restricted:
-        _check_self_adjoint(ints, gram_int, sigma)
+        _check_self_adjoint(ints, gram.integral_gram[2], sigma)
     return GaudinSystem(cfg, basis, gram, (dz, 2 * den * den * p, restricted))
 
 

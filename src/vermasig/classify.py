@@ -11,6 +11,7 @@ randomized fractional parts.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,16 +40,21 @@ class ExplicitType:
     factor_floors: tuple[int, ...]
 
     def __post_init__(self):
-        floors = tuple(int(f) for f in self.factor_floors)
+        try:  # operator.index: ints and numpy integers pass, 1.7 is not truncated
+            total = operator.index(self.total_floor)
+            floors = tuple(map(operator.index, self.factor_floors))
+        except TypeError:
+            raise DomainError("floors must be integers") from None
+        object.__setattr__(self, "total_floor", total)
         object.__setattr__(self, "factor_floors", floors)
         if len(floors) < 2:
             raise DomainError("need at least two tensor factors")
         if any(floors[i] < floors[i + 1] for i in range(len(floors) - 1)):
             raise DomainError("factor floors must be sorted descending")
         lo = sum(floors)
-        if not lo <= self.total_floor <= lo + len(floors) - 1:
+        if not lo <= total <= lo + len(floors) - 1:
             raise DomainError(
-                f"total floor {self.total_floor} inconsistent with factor "
+                f"total floor {total} inconsistent with factor "
                 f"floors {floors} (must lie in [{lo}, {lo + len(floors) - 1}])"
             )
 

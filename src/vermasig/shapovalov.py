@@ -10,9 +10,9 @@ triangular in the first factor, so the kernel comes from an integer recursion
 over the first part, without elimination, and is then checked exactly against
 the raising operator.  The kernel (a positive scale and an integer vector per
 free column), the norms times D^m and the Gram matrix are integers, and one
-elimination of that Gram matrix decides both nondegeneracy and inertia.  No
-floating point anywhere in this module; it is the trust anchor for the other
-modules' tests.
+elimination of that Gram matrix decides both nondegeneracy and inertia, which
+the GramMatrix stores.  No floating point anywhere in this module; it is the
+trust anchor for the other modules' tests.
 """
 
 from __future__ import annotations
@@ -188,13 +188,25 @@ def _kernel(
 
 @dataclass(frozen=True)
 class GramMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
-    # (pos, neg), when the builder already found it; else exact_signature eliminates
-    inertia: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+    """The induced form on a multiplicity space, stored as integers with its inertia."""
+
+    # (d, scales, G): entry (u, v) is G[u][v] / (s_u * s_v * d) for the symmetric integer
+    # Gram G, the kernel scales s_u > 0 and d = D^m; entries decodes it on first read
+    integral_gram: tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
+    # (pos, neg) of G, which is the form's: it differs by a positive diagonal congruence
+    inertia: tuple[int, int] = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.integral_gram[1])
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        d, scales, g = self.integral_gram
+        return tuple(
+            tuple(Fraction(x, su * sv * d) for x, sv in zip(row, scales))
+            for row, su in zip(g, scales)
+        )
 
 
 def _norm_numerators(den: int, nums: Sequence[int], m: int) -> list[int]:
@@ -216,44 +228,21 @@ def weight_space_norms(lams: Sequence[Fraction], m: int) -> list[Fraction]:
 
 def gram_on_multiplicity(lams: Sequence[RationalLike], m: int) -> GramMatrix:
     """Gram matrix of the induced form on the level-m multiplicity space."""
-    return _gram_on_basis(singular_basis(lams, m))[0]
+    return _gram_on_basis(singular_basis(lams, m))
 
 
-def _gram_on_basis(basis: SingularBasis) -> tuple[GramMatrix, list[list[int]]]:
-    """The induced form from the basis's integers, with its inertia from one elimination.
-
-    Entry (u, v) is G[u][v] / (s_u * s_v * D^m) for the integer Gram matrix G,
-    a congruence by a positive diagonal, so G has the inertia of the form; returns both.
-    """
+def _gram_on_basis(basis: SingularBasis) -> GramMatrix:
+    """The induced form from the basis's integers, with its inertia from one elimination."""
     (den, nums), kernel = basis.integral_weights, basis.integral_vectors
     g = exact.gram([u for _, u in kernel], _norm_numerators(den, nums, basis.m))
     try:
         inertia = exact.inertia(g)
     except DomainError:
         raise GenericityError("induced form is degenerate; weights not generic") from None
-    dm = den**basis.m
-    entries = [[_ZERO] * len(g) for _ in g]
-    for i, row in enumerate(g):
-        for j in range(i, len(g)):
-            entries[i][j] = entries[j][i] = Fraction(row[j], kernel[i][0] * kernel[j][0] * dm)
-    return GramMatrix(tuple(map(tuple, entries)), inertia), g
+    return GramMatrix((den**basis.m, tuple(s for s, _ in kernel), tuple(map(tuple, g))), inertia)
 
 
 def exact_signature(gram: GramMatrix) -> tuple[int, int]:
-    """Inertia (pos, neg) by exact congruence diagonalization.
-
-    Symmetric pivoting; when every remaining diagonal entry vanishes, a
-    row-plus-column addition exposes 2*A[i][j] as a usable pivot.  Raises on
-    exactly singular input (the signal for non-generic weights).  A Gram
-    matrix from ``gram_on_multiplicity`` carries its inertia, which is then
-    returned after the shape checks.
-    """
-    entries = gram.entries
-    size = len(entries)
-    if any(len(row) != size for row in entries):
-        raise DomainError("matrix must be square")
-    for i in range(size):
-        for j in range(i + 1, size):
-            if entries[i][j] != entries[j][i]:
-                raise DomainError("matrix must be symmetric")
-    return gram.inertia if gram.inertia is not None else exact.inertia(entries)
+    """Inertia (pos, neg) of the induced form: the pair that ``gram_on_multiplicity`` found by
+    one congruence diagonalization of the integer Gram matrix, raising on a degenerate form."""
+    return gram.inertia

@@ -175,6 +175,8 @@ class Decomposition:
     entries: tuple[DecompositionEntry, ...]
 
     def entry(self, m: int) -> DecompositionEntry:
+        if not 0 <= m < len(self.entries):
+            raise DomainError(f"level {m} outside 0..{len(self.entries) - 1}")
         return self.entries[m]
 
     def definite_levels(self, bound: int | None = None) -> tuple[tuple[int, int], ...]:

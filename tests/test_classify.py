@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from vermasig import (
@@ -32,6 +33,15 @@ def test_explicit_type_validation():
         ExplicitType(-2, (0, -1))  # total too small
     with pytest.raises(DomainError):
         ExplicitType(0, (0,))  # n >= 2
+
+
+def test_explicit_type_rejects_non_integral_floors():
+    for total, floors in ((1, (1.7, 0.2)), (0.5, (0, 0)), (F(1), (1, 0)), (1, "10")):
+        with pytest.raises(DomainError):
+            ExplicitType(total, floors)
+    t = ExplicitType(np.int64(1), (np.int64(1), np.int32(0)))
+    assert t == ExplicitType(1, (1, 0))
+    assert type(t.total_floor) is int and all(type(f) is int for f in t.factor_floors)
 
 
 def test_explicit_type_of_sorts():

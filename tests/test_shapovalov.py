@@ -7,7 +7,6 @@ import pytest
 from vermasig import (
     DomainError,
     GenericityError,
-    GramMatrix,
     compositions,
     exact_signature,
     gram_on_multiplicity,
@@ -15,9 +14,11 @@ from vermasig import (
     shapovalov_norm,
     singular_basis,
 )
+from vermasig import exact
 from vermasig.shapovalov import raising_matrix, weight_space_norms
 from vermasig.sigchar import is_generic
 
+import fraction_reference as ref
 from closed_form_reference import lex_compositions
 
 
@@ -103,26 +104,29 @@ def test_gram_level0_and_case1():
 
 def test_exact_signature_basics():
     one = F(1)
-    ident = GramMatrix(tuple(tuple(one if i == j else F(0) for j in range(3)) for i in range(3)))
-    assert exact_signature(ident) == (3, 0)
-    assert exact_signature(GramMatrix(((F(2), F(0)), (F(0), F(-5))))) == (1, 1)
+    ident = [[one if i == j else F(0) for j in range(3)] for i in range(3)]
+    assert exact.inertia(ident) == ref.inertia(ident) == (3, 0)
+    diag = [[F(2), F(0)], [F(0), F(-5)]]
+    assert exact.inertia(diag) == ref.inertia(diag) == (1, 1)
     # zero-diagonal path
-    assert exact_signature(GramMatrix(((F(0), F(1)), (F(1), F(0))))) == (1, 1)
+    hyperbolic = [[F(0), F(1)], [F(1), F(0)]]
+    assert exact.inertia(hyperbolic) == ref.inertia(hyperbolic) == (1, 1)
 
 
 def test_carried_inertia_matches_a_fresh_elimination():
-    gram = gram_on_multiplicity((F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 3)
-    plain = GramMatrix(gram.entries)
-    # the carried (pos, neg) is not part of equality; a hand-built matrix eliminates
-    assert plain == gram and plain.inertia is None
-    assert gram.inertia == exact_signature(plain) == exact_signature(gram)
+    lams, m = (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 3
+    gram = gram_on_multiplicity(lams, m)
+    # the Fraction entries are decoded once, on first read; equality is on the integers
+    assert gram.entries is gram.entries
+    assert gram_on_multiplicity(lams, m) == gram
+    assert exact_signature(gram) == gram.inertia == ref.inertia(gram.entries)
 
 
 def test_exact_signature_errors():
+    zero = [[F(0), F(0)], [F(0), F(0)]]
+    assert ref.inertia(zero) is None
     with pytest.raises(DomainError):
-        exact_signature(GramMatrix(((F(0), F(0)), (F(0), F(0)))))
-    with pytest.raises(DomainError):
-        exact_signature(GramMatrix(((F(1), F(2)), (F(3), F(1)))))
+        exact.inertia(zero)
 
 
 def test_exact_signature_random_congruence_invariance():
@@ -142,7 +146,7 @@ def test_exact_signature_random_congruence_invariance():
             for row in range(k):
                 a[row][i] += c * a[row][j]
         want = (sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0))
-        assert exact_signature(GramMatrix(tuple(tuple(r) for r in a))) == want
+        assert exact.inertia(a) == ref.inertia(a) == want
 
 
 def lowering_matrix(lams, m):

@@ -225,3 +225,11 @@ def test_peel_matches_greedy_at_depth(lams, depth):
 def test_peel_rejects_negative_depth():
     with pytest.raises(DomainError):
         peel_decompose([F(-1, 2), F(-1, 3)], -1)
+
+
+def test_entry_rejects_levels_outside_the_depth():
+    dec = peel_decompose(["-1/2", "-3/4"], 3)
+    assert [dec.entry(m).level for m in range(4)] == [0, 1, 2, 3]
+    for m in (-1, 4):
+        with pytest.raises(DomainError):
+            dec.entry(m)
