@@ -16,6 +16,11 @@ Heine-Stieltjes equation for Q.  The tuples of a config share n and m, so one
 batched Heine-Stieltjes solve and Newton polish over all witnesses finds every
 point, with no search.  The multiplicity-space signature from character
 peeling bounds the real count from below.
+
+One integer builder (``_images``) applies the Casimirs Omega_ij: to the kernel
+vectors for the restricted Hamiltonians, and to the unit vectors of a weight
+space for ``hamiltonian_matrices``.  One collision rule (``_too_close``) decides
+whether a tuple t meets a z or itself, in the polish and at every entry point.
 """
 
 from __future__ import annotations
@@ -37,18 +42,17 @@ from .sigchar import (
     InvariantError,
     RationalLike,
     ensure_generic_tuple,
+    ensure_int,
     fractionize,
     multiplicity_dim,
     peel_decompose,
 )
 from .shapovalov import (
     GramMatrix,
-    Matrix,
     SingularBasis,
     _check_killed,
     _gram_on_basis,
     compositions,
-    raising_matrix,
     singular_basis,
 )
 
@@ -62,8 +66,6 @@ RESIDUAL_TOL = 1e-10
 SPECTRUM_RETRIES = 6
 # Newton steps a critical point's polish takes at most
 POLISH_ROUNDS = 4
-# a coordinate within this distance of a z or of another coordinate collides
-ARRANGEMENT_EPS = 1e-12
 
 
 class FalsificationError(RuntimeError):
@@ -96,8 +98,7 @@ class MasterConfig:
             raise DomainError("need at least two points")
         if len(set(z)) != len(z):
             raise DomainError("z values must be pairwise distinct")
-        if self.m < 1:
-            raise DomainError("m must be positive")
+        object.__setattr__(self, "m", ensure_int(self.m, "m", 1))
 
     def require_generic(self) -> None:
         ensure_generic_tuple(self.weights)
@@ -123,27 +124,23 @@ class MasterConfig:
         return arrays
 
 
-def _check_arrangement(cfg: MasterConfig, t: Sequence[complex]) -> None:
-    tv = [complex(x) for x in t]
-    if len(tv) != cfg.m:
-        raise DomainError(f"expected {cfg.m} coordinates, got {len(tv)}")
-    z = cfg.floats[0]
-    for i, ti in enumerate(tv):
-        hits = np.flatnonzero(np.abs(ti - z) <= ARRANGEMENT_EPS)
-        if hits.size:
-            raise DomainError(f"t[{i}] collides with z = {cfg.z[hits[0]]}")
-        for j in range(i + 1, len(tv)):
-            if abs(ti - tv[j]) <= ARRANGEMENT_EPS:
-                raise DomainError(f"t[{i}] collides with t[{j}]")
+def _check_arrangement(cfg: MasterConfig, t: Sequence[complex]) -> np.ndarray:
+    """t as a one-row complex stack; a wrong length, or a collision by the rule the
+    polish applies (_too_close), is a DomainError."""
+    tv = np.array([[complex(x) for x in t]])
+    if tv.shape[1] != cfg.m:
+        raise DomainError(f"expected {cfg.m} coordinates, got {tv.shape[1]}")
+    if _too_close(tv, *_differences(cfg, tv))[0]:
+        raise DomainError(f"t = {tv[0].tolist()} collides with a z or with another coordinate")
+    return tv
 
 
 def master_value(cfg: MasterConfig, t: Sequence[float]) -> float:
     """Value of the master function at a real tuple t off the arrangement."""
-    _check_arrangement(cfg, t)
-    tv = [complex(x) for x in t]
-    if any(abs(x.imag) > 1e-12 for x in tv):
+    tv = _check_arrangement(cfg, t)[0]
+    if np.any(np.abs(tv.imag) > 1e-12):
         raise DomainError("master_value is real-valued; pass a real tuple")
-    ts = [x.real for x in tv]
+    ts = tv.real.tolist()
     z, lam, _ = cfg.floats
     value = 1.0
     for i in range(len(ts)):
@@ -157,8 +154,7 @@ def master_value(cfg: MasterConfig, t: Sequence[float]) -> float:
 
 def bethe_residual(cfg: MasterConfig, t: Sequence[complex]) -> float:
     """max_i |sum_{j != i} 2/(t_i-t_j) - sum_k lam_k/(t_i-z_k)|."""
-    _check_arrangement(cfg, t)
-    tv = np.asarray([[complex(x) for x in t]])
+    tv = _check_arrangement(cfg, t)
     return float(np.max(np.abs(_bethe_system(cfg, *_differences(cfg, tv))[0])))
 
 
@@ -189,10 +185,6 @@ class CriticalPoint:
     qpoly: tuple[complex, ...]
     residual: float
     is_real: bool
-
-    @property
-    def roots(self) -> np.ndarray:
-        return np.roots(np.array(self.qpoly))
 
 
 def _is_real_rows(rows: np.ndarray) -> np.ndarray:
@@ -324,37 +316,22 @@ def _polish(cfg: MasterConfig, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def hamiltonian_matrices(cfg: MasterConfig, level: int | None = None) -> list[Matrix]:
+def hamiltonian_matrices(cfg: MasterConfig, level: int | None = None) -> list[exact.Matrix]:
     """Exact matrices of the n Gaudin Hamiltonians on a weight space.
 
     H_i = sum_{j != i} Omega_ij/(z_i - z_j), Omega_ij = E_i F_j + F_i E_j + H_i H_j / 2,
     acting on the composition basis F^{k_1}v_1 x ... x F^{k_n}v_n of the given
-    level (default: cfg.m).  Omega_ij = Omega_ji is built once per pair i < j.
+    level (default: cfg.m).  Column c of H_i is Dz w / (2 D^2 P) for the integer image
+    w of unit vector c under _images, the builder gaudin_system uses.
     """
-    n, m = cfg.n, cfg.m if level is None else level
-    comps = compositions(m, n)
-    index = {c: r for r, c in enumerate(comps)}
-    lam, z = cfg.weights, cfg.z
-    mats = [[[Fraction(0)] * len(comps) for _ in comps] for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        w = 1 / (z[i] - z[j])
-        h_i, h_j = mats[i], mats[j]
-        for c, comp in enumerate(comps):
-            # E_i F_j, then F_i E_j: one unit moves from factor a to factor b
-            for a, b in ((i, j), (j, i)):
-                k = comp[a]
-                if k > 0:
-                    target = list(comp)
-                    target[a] -= 1
-                    target[b] += 1
-                    r = index[tuple(target)]
-                    term = w * k * (lam[a] - k + 1)
-                    h_i[r][c] += term
-                    h_j[r][c] -= term
-            term = w * (lam[i] - 2 * comp[i]) * (lam[j] - 2 * comp[j]) / 2
-            h_i[c][c] += term
-            h_j[c][c] -= term
-    return mats
+    comps = compositions(cfg.m if level is None else level, cfg.n)
+    (den, nums), (dz, zeta) = exact._integer_row(cfg.weights), exact._integer_row(cfg.z)
+    p = math.lcm(*(zi - zj for zi, zj in itertools.combinations(zeta, 2)))
+    units = [[int(r == c) for r in range(len(comps))] for c in range(len(comps))]
+    big = 2 * den * den * p
+    # images[i][c], the image of unit vector c, is column c of H_i times big / Dz
+    images = _images(den, nums, comps, units, zeta, p)
+    return [[[Fraction(dz * x, big) for x in row] for row in zip(*per_i)] for per_i in images]
 
 
 @dataclass(frozen=True)
@@ -399,7 +376,7 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     (den, nums), kernel = basis.integral_weights, basis.integral_vectors
     dz, zeta = exact._integer_row(cfg.z)
     p = math.lcm(*(zi - zj for zi, zj in itertools.combinations(zeta, 2)))
-    images = _images(basis, zeta, p)
+    images = _images(den, nums, basis.compositions, [u for _, u in kernel], zeta, p)
     _check_killed(
         den, nums, cfg.m, itertools.chain.from_iterable(images),
         "a Gaudin Hamiltonian leaves the multiplicity space: an image is",
@@ -416,17 +393,20 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     return GaudinSystem(cfg, basis, gram, (dz, 2 * den * den * p, restricted))
 
 
-def _images(basis: SingularBasis, zeta: list[int], p: int) -> list[list[list[int]]]:
-    """images[i][f] = sum_{j != i} P/(zeta_i - zeta_j) 2D^2 Omega_ij u_f, once per pair i < j.
+def _images(
+    den: int, nums: Sequence[int], comps: Sequence[tuple[int, ...]],
+    vectors: Sequence[Sequence[int]], zeta: Sequence[int], p: int,
+) -> list[list[list[int]]]:
+    """images[i][f] = sum_{j != i} P/(zeta_i - zeta_j) 2D^2 Omega_ij u_f, once per pair i < j,
+    for integer vectors u_f over the compositions comps and lams = nums / D.
 
     2D^2 Omega_ij moves a unit from factor a to b, {a, b} = {i, j}, by 2D k (a_a - (k - 1) D)
     with k = k_a, and scales by (a_i - 2 k_i D)(a_j - 2 k_j D).
     """
-    (den, nums), comps = basis.integral_weights, basis.compositions
     index = {c: r for r, c in enumerate(comps)}
-    out = [[[0] * len(comps) for _ in basis.integral_vectors] for _ in nums]
+    out = [[[0] * len(comps) for _ in vectors] for _ in nums]
     for i, j in itertools.combinations(range(len(nums)), 2):
-        for f, (_, u) in enumerate(basis.integral_vectors):
+        for f, u in enumerate(vectors):
             omega = [0] * len(comps)
             for c, (comp, x) in enumerate(zip(comps, u)):
                 if not x:
@@ -462,14 +442,6 @@ def _check_self_adjoint(ints, gram_int, sigma: Sequence[int]) -> None:
         raise InvariantError("Hamiltonian is not self-adjoint for the induced form: arithmetic bug")
 
 
-def hamiltonian_eigenvalue(cfg: MasterConfig, i: int, qpoly: Sequence[complex]) -> complex:
-    """Joint eigenvalue of H_i on the Bethe line of a critical polynomial Q."""
-    z, lam, c = cfg.floats
-    q = np.array(qpoly, dtype=complex)
-    value = -lam[i] * np.polyval(np.polyder(q), z[i]) / np.polyval(q, z[i]) + c[i]
-    return complex(value)
-
-
 def highest_vector_eigenvalue(cfg: MasterConfig, i: int) -> Fraction:
     """Exact H_i-eigenvalue of the highest weight line (lam_i/2) sum lam_j/(z_i-z_j)."""
     lam, z = cfg.weights, cfg.z
@@ -493,12 +465,6 @@ def bethe_vector(cfg: MasterConfig, t: Sequence[complex]) -> np.ndarray:
     for tj in t:
         state = _y_apply(cfg, complex(tj), state)
     return np.array([state.get(c, 0.0) for c in compositions(cfg.m, cfg.n)])
-
-
-def raising_residual(cfg: MasterConfig, vec: np.ndarray) -> float:
-    """|E b| / |b| for a level-m coefficient vector (zero at critical points)."""
-    mat = np.array(raising_matrix(cfg.weights, cfg.m), dtype=float)
-    return float(np.linalg.norm(mat @ vec) / np.linalg.norm(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +589,7 @@ def zy_commutator_check(
         if val in cfg.z:
             raise DomainError(f"spectral parameter {val} collides with z")
     factor = 2 / (t_a - t_b)
-    for level in range(depth + 1):
+    for level in range(ensure_int(depth, "depth", 0) + 1):
         for comp in compositions(level, cfg.n):
             state = {comp: Fraction(1)}
             if _combine(

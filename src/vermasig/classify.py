@@ -11,7 +11,6 @@ randomized fractional parts.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +22,7 @@ from .sigchar import (
     InvariantError,
     RationalLike,
     ensure_generic_tuple,
+    ensure_int,
     fractionize,
     peel_decompose,
 )
@@ -40,11 +40,8 @@ class ExplicitType:
     factor_floors: tuple[int, ...]
 
     def __post_init__(self):
-        try:  # operator.index: ints and numpy integers pass, 1.7 is not truncated
-            total = operator.index(self.total_floor)
-            floors = tuple(map(operator.index, self.factor_floors))
-        except TypeError:
-            raise DomainError("floors must be integers") from None
+        total = ensure_int(self.total_floor, "total floor")
+        floors = tuple(ensure_int(f, "factor floor") for f in self.factor_floors)
         object.__setattr__(self, "total_floor", total)
         object.__setattr__(self, "factor_floors", floors)
         if len(floors) < 2:
@@ -107,9 +104,7 @@ def two_factor_sign(x1: RationalLike, x2: RationalLike, k: int) -> int:
     s = x1 + x2
     if s.denominator == 1 and s >= 0:
         raise DomainError(f"x1 + x2 = {s} is a nonnegative integer (not generic)")
-    if k < 0:
-        raise DomainError("level k must be nonnegative")
-    return multiplicity_signature((x1, x2), k)
+    return multiplicity_signature((x1, x2), ensure_int(k, "level k", 0))
 
 
 def default_level_bound(t: ExplicitType) -> int:
@@ -176,8 +171,7 @@ def classify_definite(t: ExplicitType, level_bound: int | None = None) -> Defini
                                        finite list of exceptional families.
     """
     bound = default_level_bound(t) if level_bound is None else level_bound
-    if bound < 0:
-        raise DomainError("level bound must be nonnegative")
+    bound = ensure_int(bound, "level bound", 0)
     n, p = t.n, t.p
     total = t.total_floor
     levels: dict[int, int] = {}

@@ -220,7 +220,9 @@ def _parse_sweep(expr: str) -> list[int]:
             raise ValueError("only m ranges are supported")
         lo, hi = rng.split("..")
         lo, hi = int(lo), int(hi)
-        if lo < 1 or hi < lo:
+        if lo < 1:
+            raise ValueError("levels start at 1")
+        if hi < lo:
             raise ValueError("empty range")
         return list(range(lo, hi + 1))
     except ValueError as exc:

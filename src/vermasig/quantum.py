@@ -8,7 +8,8 @@ arguments for Verma-module multiplicity signatures.  One kernel signs every
 binomial, at q = 1 and at generic q, from its top's floor and remainder.
 A separate floating-point path builds the actual highest weight vectors and
 the coboundary-twisted form on a two-factor product to verify the closed
-form the signature formula rests on.
+form the signature formula rests on; the tests apply the coproduct raising
+operator to those vectors to check that they are highest weight vectors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sigchar import DomainError, RationalLike, fractionize
+from .sigchar import DomainError, RationalLike, ensure_int, fractionize
 
 
 class RootOfUnityError(ValueError):
@@ -98,9 +99,7 @@ def q_binomial_sign(top, bottom: int, qp: QParam | None = None) -> int:
     [top - j + 1] / [j] over j = 1..bottom, with [y] = sin(y*pi*t)/sin(pi*t)
     for rational y (the Verma-weight extension of the integer case).
     """
-    if bottom < 0:
-        raise DomainError("bottom index must be nonnegative")
-    top = fractionize(top)
+    bottom, top = ensure_int(bottom, "bottom index", 0), fractionize(top)
     floor, rem = divmod(top.numerator, top.denominator)
     return _binomial_sign(floor, rem, bottom, top.denominator, qp)
 
@@ -137,8 +136,7 @@ def multiplicity_signature(
     n = len(a)
     if n < 2:
         raise DomainError("need at least two tensor factors")
-    if m < 0:
-        raise DomainError("level must be nonnegative")
+    m = ensure_int(m, "level", 0)
     if qp is not None and all(x.denominator == 1 for x in a) and any(x < 0 for x in a):
         raise DomainError("generic-q integer mode needs nonnegative weights")
     d = math.lcm(*(x.denominator for x in a))
@@ -252,21 +250,6 @@ def unit_normalized_hwv(a: int, b: int, m: int, qp: QParam) -> QTensorState:
     for i, value in enumerate(u):
         coeffs[i, m - i] = value
     return QTensorState(a, b, coeffs)
-
-
-def raising_action(state: QTensorState, qp: QParam) -> np.ndarray:
-    """Coproduct raising operator E x 1 + K x E applied to a two-factor state."""
-    a, b, c = state.a, state.b, state.coeffs
-    out = np.zeros_like(c)
-    for i in range(a + 1):
-        for j in range(b + 1):
-            if c[i, j] == 0:
-                continue
-            if i >= 1:
-                out[i - 1, j] += q_int_value(a - i + 1, qp) * c[i, j]
-            if j >= 1:
-                out[i, j - 1] += qp.power(a - 2 * i) * q_int_value(b - j + 1, qp) * c[i, j]
-    return out
 
 
 def coboundary_norm(a: int, b: int, m: int, qp: QParam) -> complex:

@@ -11,7 +11,9 @@ over the first part, without elimination, and is then checked exactly against
 the raising operator.  The kernel (a positive scale and an integer vector per
 free column), the norms times D^m and the Gram matrix are integers, and one
 elimination of that Gram matrix decides both nondegeneracy and inertia, which
-the GramMatrix stores.  No floating point anywhere in this module; it is the
+the GramMatrix stores.  The raising operator and the product form are kept as
+sparse integer columns and norms; their dense Fraction matrices are only the
+tests' reference.  No floating point anywhere in this module; it is the
 trust anchor for the other modules' tests.
 """
 
@@ -25,8 +27,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exact
-from .exact import Matrix, express_in_basis  # express_in_basis is part of this module's API
-from .sigchar import DomainError, GenericityError, InvariantError, RationalLike, ensure_generic
+from .exact import express_in_basis  # express_in_basis is part of this module's API
+from .sigchar import (
+    DomainError, GenericityError, InvariantError, RationalLike, ensure_generic, ensure_int,
+)
 
 _ZERO = Fraction(0)
 
@@ -49,9 +53,7 @@ def compositions(m: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 def shapovalov_norm(lam: RationalLike, k: int) -> Fraction:
     """(F^k v, F^k v) = prod_{j=1}^{k} j*(lam - j + 1), normalized by (v, v) = 1."""
-    lam = ensure_generic(lam)
-    if k < 0:
-        raise DomainError("k must be nonnegative")
+    lam, k = ensure_generic(lam), ensure_int(k, "k", 0)
     den = lam.denominator
     return Fraction(_norm_numerators(den, [lam.numerator], k)[0], den**k)
 
@@ -85,17 +87,6 @@ def _check_killed(den: int, nums: Sequence[int], m: int, vectors, what: str) -> 
             raise InvariantError(f"{what} not killed by the raising operator: arithmetic bug")
 
 
-def raising_matrix(lams: Sequence[Fraction], m: int) -> Matrix:
-    """Matrix of the coproduct raising operator, level m -> level m - 1."""
-    den, nums = exact._integer_row(lams)
-    size, cols = _raising_columns(den, nums, m)
-    rows = [[_ZERO] * len(cols) for _ in range(size)]
-    for c, col in enumerate(cols):
-        for r, x in col:
-            rows[r][c] = Fraction(x, den)
-    return rows
-
-
 @dataclass(frozen=True)
 class SingularBasis:
     """Exact basis of the weight-(lam - 2m) vectors killed by the raising operator."""
@@ -123,8 +114,7 @@ def singular_basis(lams: Sequence[RationalLike], m: int) -> SingularBasis:
     lams = tuple(ensure_generic(l) for l in lams)
     if len(lams) < 2:
         raise DomainError("need at least two tensor factors")
-    if m < 0:
-        raise DomainError("level must be nonnegative")
+    m = ensure_int(m, "level", 0)
     comps = compositions(m, len(lams))
     den, nums = exact._integer_row(lams)
     free, kernel = _kernel(den, nums, m)
@@ -218,12 +208,6 @@ def _norm_numerators(den: int, nums: Sequence[int], m: int) -> list[int]:
             row.append(row[-1] * j * (a - (j - 1) * den))
         table.append(row)
     return [math.prod(row[k] for row, k in zip(table, comp)) for comp in compositions(m, len(nums))]
-
-
-def weight_space_norms(lams: Sequence[Fraction], m: int) -> list[Fraction]:
-    """Diagonal of the product form on the level-m composition basis."""
-    den, nums = exact._integer_row(lams)
-    return [Fraction(w, den**m) for w in _norm_numerators(den, nums, m)]
 
 
 def gram_on_multiplicity(lams: Sequence[RationalLike], m: int) -> GramMatrix:

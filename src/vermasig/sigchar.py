@@ -14,6 +14,7 @@ are allowed); tuples additionally need a generic total.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -52,6 +53,17 @@ def ensure_generic(lam: RationalLike, name: str = "weight") -> Fraction:
     if not is_generic(lam):
         raise GenericityError(f"{name} {lam} is a nonnegative integer")
     return lam
+
+
+def ensure_int(value, name: str, least: int | None = None) -> int:
+    """value as an int, at least ``least`` if given: ints and numpy integers pass, 2.5 does not."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 class SCoeff(NamedTuple):
@@ -106,8 +118,7 @@ def verma_character(lam: RationalLike, depth: int) -> SignatureSeries:
     of the s-exponent survives in Z[s]/(s^2 - 1).
     """
     lam = ensure_generic(lam)
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
+    depth = ensure_int(depth, "depth", 0)
     if lam < 0:
         coeffs = tuple(_ONE if j % 2 == 0 else _S for j in range(depth + 1))
     else:
@@ -232,8 +243,7 @@ def peel_decompose(lams: Sequence[RationalLike], depth: int) -> Decomposition:
     failure means an arithmetic bug, not bad input.
     """
     lams = ensure_generic_tuple(lams)
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
+    depth = ensure_int(depth, "depth", 0)
     n = len(lams)
     total = sum(lams)
     series = _numerator_product(lams)[: depth + 1]
@@ -280,7 +290,7 @@ def asymptotic_signature(lams: Sequence[RationalLike], m: int) -> int:
     sufficiently large m; callers locate the threshold by comparing against
     peel_decompose.
     """
-    lams = ensure_generic_tuple(lams)
+    lams, m = ensure_generic_tuple(lams), ensure_int(m, "level", 0)
     n = len(lams)
     total = 0
     for i, c in enumerate(_numerator_product(lams)):
@@ -297,8 +307,7 @@ def e_decomposition_check(mu: RationalLike, depth: int) -> bool:
     ceil(mu) is at least 2.
     """
     mu = ensure_generic(mu)
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
+    depth = ensure_int(depth, "depth", 0)
     total = [0] * (depth + 1)
 
     def accumulate(coeff: int, shift: int, lam: Fraction) -> None:

@@ -11,7 +11,12 @@ library's batched pass.
 
 ``bethe_vector_closed_form`` expands a Bethe vector as an exponential-time
 assignment sum.  ``hamiltonian_matrices_per_factor`` builds each Gaudin
-Hamiltonian H_i on its own, with every Casimir Omega_ij built again for H_j.  ``search_critical_points`` finds critical points by a
+Hamiltonian H_i on its own in Fractions, with every Casimir Omega_ij built
+again for H_j; it is the reference for both ``gaudin_system`` and
+``hamiltonian_matrices``, which share the library's integer images.
+``hamiltonian_eigenvalue`` is the joint eigenvalue a critical polynomial
+predicts, and ``raising_residual`` measures a Bethe vector against the
+Fraction raising matrix.  ``search_critical_points`` finds critical points by a
 numeric search that takes no input from the Gaudin spectrum: multistart
 guarded Newton, then weight continuation from the all-negative chamber
 retried over several detour scales, then more multistart.  The acceptance
@@ -22,12 +27,14 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from vermasig.bethe import POLISH_ROUNDS, REAL_TOL, RESIDUAL_TOL, CriticalPoint, MasterConfig
 from vermasig.shapovalov import compositions
 
+import fraction_reference
 from closed_form_reference import lex_compositions
 
 
@@ -187,6 +194,21 @@ def hamiltonian_matrices_per_factor(cfg: MasterConfig, level: int) -> list[list[
                 mat[c][c] += w * (lam[i] - 2 * comp[i]) * (lam[j] - 2 * comp[j]) / 2
         mats.append(mat)
     return mats
+
+
+def hamiltonian_eigenvalue(cfg: MasterConfig, i: int, qpoly: Sequence[complex]) -> complex:
+    """Joint eigenvalue of H_i on the Bethe line of a critical polynomial Q."""
+    z, lam, c = cfg.floats
+    q = np.array(qpoly, dtype=complex)
+    value = -lam[i] * np.polyval(np.polyder(q), z[i]) / np.polyval(q, z[i]) + c[i]
+    return complex(value)
+
+
+def raising_residual(cfg: MasterConfig, vec: np.ndarray) -> float:
+    """|E b| / |b| for a level-m coefficient vector (zero at critical points)."""
+    src, dst = compositions(cfg.m, cfg.n), compositions(cfg.m - 1, cfg.n)
+    mat = np.array(fraction_reference.raising_matrix(cfg.weights, src, dst), dtype=float)
+    return float(np.linalg.norm(mat @ vec) / np.linalg.norm(vec))
 
 
 def _escape_radius(cfg: MasterConfig) -> float:

@@ -29,16 +29,17 @@ from vermasig import (
     peel_decompose,
     q_vandermonde_check,
 )
-from vermasig.bethe import (
-    bethe_vector,
-    hamiltonian_eigenvalue,
-    hamiltonian_matrices,
-    raising_residual,
-)
+from vermasig.bethe import bethe_vector
 from vermasig.classify import consistent_types, definite_levels_of, representative_weights
 from vermasig.sigchar import is_generic
 
-from bethe_reference import bethe_vector_closed_form, search_critical_points
+from bethe_reference import (
+    bethe_vector_closed_form,
+    hamiltonian_eigenvalue,
+    hamiltonian_matrices_per_factor,
+    raising_residual,
+    search_critical_points,
+)
 
 
 def random_generic_tuple(rng, n, denoms, span):
@@ -159,7 +160,8 @@ def test_criterion_5_gaudin_bethe_structure():
     pts = find_critical_points(cfg, count_real_by_spectrum(cfg, seed=77)[1])
     assert len(pts) == cfg.dim
     hmats = [
-        np.array([[float(v) for v in row] for row in h]) for h in hamiltonian_matrices(cfg)
+        np.array([[float(v) for v in row] for row in h])
+        for h in hamiltonian_matrices_per_factor(cfg, cfg.m)
     ]
     for p in pts:
         roots = np.roots(np.array(p.qpoly))
@@ -181,7 +183,7 @@ def test_criterion_5_gaudin_bethe_structure():
         assert n_real == sum(1 for p in pts if p.is_real), (cfg, n_real)
         hmats = [
             np.array([[float(v) for v in row] for row in h])
-            for h in hamiltonian_matrices(cfg)
+            for h in hamiltonian_matrices_per_factor(cfg, cfg.m)
         ]
         for p in pts:
             b = bethe_vector(cfg, np.roots(np.array(p.qpoly)))

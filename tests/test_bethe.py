@@ -20,20 +20,17 @@ from vermasig import (
     zy_commutator_check,
 )
 from vermasig import bethe
-from vermasig.bethe import (
-    hamiltonian_eigenvalue,
-    hamiltonian_matrices,
-    highest_vector_eigenvalue,
-    raising_residual,
-)
+from vermasig.bethe import hamiltonian_matrices, highest_vector_eigenvalue
 from vermasig.sigchar import is_generic
 
 import bethe_reference
 from bethe_reference import (
     bethe_vector_closed_form,
     critical_points_per_witness,
+    hamiltonian_eigenvalue,
     hamiltonian_matrices_per_factor,
     heine_stieltjes_roots,
+    raising_residual,
     search_critical_points,
 )
 from test_acceptance import _criterion5_instances
@@ -60,6 +57,9 @@ def test_config_validation():
         MasterConfig((F(0), F(1)), (F(-1, 2),), 1)
     with pytest.raises(DomainError):
         MasterConfig((F(0), F(1)), (F(-1, 2), F(-1, 2)), 0)
+    with pytest.raises(DomainError):
+        MasterConfig((F(0), F(1)), (F(-1, 2), F(-1, 2)), 1.5)  # built, and failed later
+    assert type(MasterConfig((F(0), F(1)), (F(-1, 2), F(-1, 2)), np.int64(2)).m) is int
 
 
 def test_master_value_m1():
@@ -70,6 +70,25 @@ def test_master_value_m1():
     assert abs(master_value(cfg2, [0.5]) - 4.0) < 1e-12
     with pytest.raises(DomainError):
         master_value(cfg, [0.0])
+
+
+def test_collision_rule_is_the_polish_rule():
+    # 5e-13 from z = 0, or between two coordinates, with |t| <= 1 is farther than
+    # _too_close's 1e-13 (1 + max|t|), so the polish keeps such a point, and the
+    # public entry points accept it; 5e-14 collides for all of them
+    cfg = MasterConfig((F(0), F(1), F(3)), (F(-1, 2), F(-3, 4), F(-7, 5)), 2)
+    public = (bethe_residual, bethe_vector, master_value)
+    for t in ([5e-13, 0.5], [0.5, 0.5 + 5e-13]):
+        stack = np.array([t], dtype=complex)
+        assert not bethe._too_close(stack, *bethe._differences(cfg, stack))[0]
+        assert math.isfinite(bethe_residual(cfg, t))
+        assert np.isfinite(bethe_vector(cfg, t)).all() and master_value(cfg, t) > 0
+    for t in ([5e-14, 0.5], [0.5, 0.5 + 5e-14], [1.0, 0.5], [0.5, 0.5]):
+        stack = np.array([t], dtype=complex)
+        assert bethe._too_close(stack, *bethe._differences(cfg, stack))[0]
+        for entry in public:
+            with pytest.raises(DomainError):
+                entry(cfg, t)
 
 
 def test_bethe_residual_closed_form_root():
@@ -190,7 +209,7 @@ def test_bethe_vector_relations_at_critical_points():
     assert len(pts) == cfg.dim
     hmats = [
         np.array([[float(v) for v in row] for row in h])
-        for h in hamiltonian_matrices(cfg)
+        for h in hamiltonian_matrices_per_factor(cfg, cfg.m)
     ]
     for p in pts:
         roots = np.roots(np.array(p.qpoly))
@@ -425,6 +444,9 @@ def test_zy_commutator_identity():
         zy_commutator_check(cfg2, F(1, 2), F(1, 2), 2)
     with pytest.raises(DomainError):
         zy_commutator_check(cfg2, F(0), F(1, 2), 2)
+    for depth in (-1, 1.5):  # -1 checked no level and returned True
+        with pytest.raises(DomainError):
+            zy_commutator_check(cfg2, F(7, 3), F(-5, 2), depth)
 
 
 def test_zy_commutator_check_fails_for_a_wrong_z(monkeypatch):

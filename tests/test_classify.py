@@ -82,6 +82,17 @@ def test_two_factor_sign_domain_errors():
         two_factor_sign(F(-1, 2), F(1, 2), 1)  # not ordered
     with pytest.raises(DomainError):
         two_factor_sign(F(3, 2), F(1, 2), 1)  # sum = 2 not generic
+    for k in (1.5, F(3, 2), -1):  # 1.5 once gave -1
+        with pytest.raises(DomainError):
+            two_factor_sign(F(5, 2), F(-7, 10), k)
+
+
+def test_classify_definite_rejects_bad_level_bounds():
+    t = ExplicitType(1, (0, 0, -1))
+    for bound in (2.5, F(5, 2), -1):  # 2.5 was reported as complete_up_to=2.5
+        with pytest.raises(DomainError):
+            classify_definite(t, bound)
+    assert classify_definite(t, np.int64(6)) == classify_definite(t, 6)
 
 
 def test_two_factor_sign_is_unit_valued():

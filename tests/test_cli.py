@@ -274,6 +274,16 @@ def test_bethe_rejects_fewer_than_one_thread(capsys, threads):
     assert "--threads" in err
 
 
+@pytest.mark.parametrize(
+    "sweep, reason", [("m=0..2", "levels start at 1"), ("m=3..2", "empty range")]
+)
+def test_bethe_sweep_range_errors_say_why(capsys, sweep, reason):
+    argv = ["bethe", "--weights", "-1/2,-3/4,-7/5", "--z", "0,1,3", "--sweep", sweep]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"bad --sweep {sweep!r}: {reason}" in err
+
+
 def test_bethe_builds_one_gaudin_system_per_level(capsys, monkeypatch):
     calls = []
     original = bethe.gaudin_system

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import fraction_reference as ref
+from bethe_reference import hamiltonian_matrices_per_factor
 from vermasig import (
     DomainError,
     GenericityError,
@@ -25,14 +26,8 @@ from vermasig import (
     gram_on_multiplicity,
     singular_basis,
 )
-from vermasig import bethe, exact
-from vermasig.bethe import hamiltonian_matrices
-from vermasig.shapovalov import (
-    compositions,
-    express_in_basis,
-    raising_matrix,
-    weight_space_norms,
-)
+from vermasig import bethe, exact, shapovalov
+from vermasig.shapovalov import compositions, express_in_basis
 from vermasig.sigchar import is_generic
 
 
@@ -199,11 +194,19 @@ def test_oracle_matches_reference_on_criterion2_instances():
             continue
         comps = compositions(m, len(lams))
         emat = ref.raising_matrix(basis.lams, comps, compositions(m - 1, len(lams)))
-        assert raising_matrix(basis.lams, m) == emat, (lams, m)
+        # the integer raising columns and norms the oracle uses, decoded
+        den, nums = basis.integral_weights
+        size, columns = shapovalov._raising_columns(den, nums, m)
+        dense = [[F(0)] * len(comps) for _ in range(size)]
+        for c, column in enumerate(columns):
+            for row, x in column:
+                dense[row][c] = F(x, den)
+        assert dense == emat, (lams, m)
         want = ref.nullspace(emat, len(comps))
         assert [list(v) for v in basis.vectors] == want, (lams, m)
         diag = ref.weight_space_norms(basis.lams, comps)
-        assert weight_space_norms(basis.lams, m) == diag, (lams, m)
+        norms = shapovalov._norm_numerators(den, nums, m)
+        assert [F(x, den**m) for x in norms] == diag, (lams, m)
         want_gram = ref.gram(want, diag)
         assert [list(row) for row in gram.entries] == want_gram, (lams, m)
 
@@ -314,7 +317,7 @@ def test_gaudin_restriction_matches_reference(monkeypatch):
     for seed, cfg in enumerate(restriction_configs()):
         system = gaudin_system(cfg)
         vectors = [list(v) for v in system.basis.vectors]
-        for mat, got in zip(hamiltonian_matrices(cfg), system.matrices):
+        for mat, got in zip(hamiltonian_matrices_per_factor(cfg, cfg.m), system.matrices):
             images = ref.matmul(vectors, [list(col) for col in zip(*mat)])
             assert [list(row) for row in got] == ref.express_in_basis(images, vectors), cfg
         # the float Hamiltonians of the Rayleigh quotients, bit for bit the Fractions' floats

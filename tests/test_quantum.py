@@ -19,7 +19,7 @@ from vermasig import (
     q_vandermonde_check,
     unit_normalized_hwv,
 )
-from vermasig.quantum import q_binomial_value, raising_action
+from vermasig.quantum import QTensorState, q_binomial_value, q_int_value
 from vermasig.sigchar import is_generic
 
 from closed_form_reference import binomial_sign_loop, composition_sum, q_binomial_sign_loop
@@ -118,6 +118,20 @@ def test_multiplicity_signature_level0_and_bounds():
         assert isinstance(sig, int)
 
 
+def test_levels_must_be_nonnegative_integers():
+    # a fractional level once gave a sign (n = 2) or a raw TypeError (n >= 3)
+    two, three = [F(-1, 2), F(1, 3)], [F(-1, 2), F(1, 3), F(-2, 7)]
+    for bad in (F(3, 2), 1.5, 2.5, -1):
+        with pytest.raises(DomainError):
+            q_binomial_sign(F(7, 2), bad)
+        for weights in (two, three):
+            with pytest.raises(DomainError):
+                multiplicity_signature(weights, bad)
+    # numpy integers are integers
+    assert q_binomial_sign(F(7, 2), np.int64(1)) == q_binomial_sign(F(7, 2), 1)
+    assert multiplicity_signature(three, np.int64(2)) == multiplicity_signature(three, 2)
+
+
 def test_multiplicity_signature_rejects_negative_integer_weights_at_generic_q():
     with pytest.raises(DomainError):
         multiplicity_signature([2, -1], 1, QParam(1, 23))
@@ -208,6 +222,21 @@ def test_hwv_small_case():
     assert abs(state.coeffs[1, 0] + qp.q) < 1e-14
     with pytest.raises(DomainError):
         unit_normalized_hwv(2, 2, 3, qp)
+
+
+def raising_action(state: QTensorState, qp: QParam) -> np.ndarray:
+    """Coproduct raising operator E x 1 + K x E applied to a two-factor state."""
+    a, b, c = state.a, state.b, state.coeffs
+    out = np.zeros_like(c)
+    for i in range(a + 1):
+        for j in range(b + 1):
+            if c[i, j] == 0:
+                continue
+            if i >= 1:
+                out[i - 1, j] += q_int_value(a - i + 1, qp) * c[i, j]
+            if j >= 1:
+                out[i, j - 1] += qp.power(a - 2 * i) * q_int_value(b - j + 1, qp) * c[i, j]
+    return out
 
 
 def test_hwv_is_annihilated():

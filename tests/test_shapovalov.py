@@ -15,7 +15,6 @@ from vermasig import (
     singular_basis,
 )
 from vermasig import exact
-from vermasig.shapovalov import raising_matrix, weight_space_norms
 from vermasig.sigchar import is_generic
 
 import fraction_reference as ref
@@ -88,7 +87,7 @@ def test_singular_vectors_annihilated_exactly():
         lams = random_generic_tuple(rng, n)
         m = rng.randint(1, 4)
         sb = singular_basis(lams, m)
-        mat = raising_matrix(sb.lams, m)
+        mat = ref.raising_matrix(sb.lams, compositions(m, n), compositions(m - 1, n))
         for vec in sb.vectors:
             image = [sum(row[c] * vec[c] for c in range(len(vec))) for row in mat]
             assert all(v == 0 for v in image)
@@ -161,7 +160,8 @@ def lowering_matrix(lams, m):
 
 def pair_vectors(lams, m, x, y):
     """Product-form pairing of two coefficient vectors at level m."""
-    return sum(a * d * b for a, d, b in zip(x, weight_space_norms(lams, m), y))
+    norms = ref.weight_space_norms(lams, compositions(m, len(lams)))
+    return sum(a * d * b for a, d, b in zip(x, norms, y))
 
 
 def test_contravariance():
@@ -172,7 +172,7 @@ def test_contravariance():
         comps_m = compositions(m, 3)
         comps_up = compositions(m + 1, 3)
         fmat = lowering_matrix(lams, m)
-        emat = raising_matrix(lams, m + 1)
+        emat = ref.raising_matrix(lams, comps_up, comps_m)
         x = [F(rng.randint(-5, 5)) for _ in comps_m]
         y = [F(rng.randint(-5, 5)) for _ in comps_up]
         fx = [sum(row[c] * x[c] for c in range(len(x))) for row in fmat]

@@ -222,6 +222,13 @@ def test_peel_matches_greedy_at_depth(lams, depth):
     assert peel_decompose(lams, depth) == greedy_peel(lams, depth)
 
 
+def test_asymptotic_rejects_bad_levels():
+    lams = [F(-1, 2), F(-1, 2), F(-1, 2)]
+    for m in (-1, 2.5):  # -1 returned the float 1.0
+        with pytest.raises(DomainError):
+            asymptotic_signature(lams, m)
+
+
 def test_peel_rejects_negative_depth():
     with pytest.raises(DomainError):
         peel_decompose([F(-1, 2), F(-1, 3)], -1)
