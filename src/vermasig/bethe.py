@@ -19,8 +19,8 @@ peeling bounds the real count from below.
 
 One integer builder (``_images``) applies the Casimirs Omega_ij: to the kernel
 vectors for the restricted Hamiltonians, and to the unit vectors of a weight
-space for ``hamiltonian_matrices``.  One collision rule (``_too_close``) decides
-whether a tuple t meets a z or itself, in the polish and at every entry point.
+space for ``hamiltonian_matrices``; ``exact.pairing`` checks them, with no Gram
+matrix.  One collision rule (``_too_close``) decides whether t meets a z or itself.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ from .sigchar import (
     peel_decompose,
 )
 from .shapovalov import (
-    GramMatrix,
     SingularBasis,
     _check_killed,
-    _gram_on_basis,
+    _norm_numerators,
     compositions,
     singular_basis,
 )
@@ -193,12 +192,11 @@ def _is_real_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _too_close(t: np.ndarray, dtz, dtt) -> np.ndarray:
-    """Per row of the stack: an entry of dtz, or for m > 1 of dtt, below 1e-13 (1 + max|t|)."""
+    """Per row of the stack: an entry of dtz, or off the diagonal of dtt, below
+    1e-13 (1 + max|t|); dtt's diagonal holds a placeholder, so it is read as infinite."""
     eps = 1e-13 * (1.0 + np.abs(t).max(1))
-    close = np.abs(dtz).min((1, 2)) < eps
-    if t.shape[1] > 1:
-        close |= np.abs(dtt).min((1, 2)) < eps
-    return close
+    pairs = np.abs(dtt) + np.diag(np.full(t.shape[1], np.inf))
+    return (np.abs(dtz).min((1, 2)) < eps) | (pairs.min((1, 2)) < eps)
 
 
 def find_critical_points(
@@ -336,11 +334,10 @@ def hamiltonian_matrices(cfg: MasterConfig, level: int | None = None) -> list[ex
 
 @dataclass(frozen=True)
 class GaudinSystem:
-    """Hamiltonians restricted to the multiplicity space, with its Gram matrix."""
+    """Hamiltonians restricted to the multiplicity space."""
 
     config: MasterConfig
     basis: SingularBasis
-    gram: GramMatrix
     # (Dz, L, (V_1, ..., V_n)), R_i[f][g] = Dz V_i[f][g] / (L s_f) with s_f the scale of
     # basis.integral_vectors[f], all integers, Dz, L > 0; matrices decodes it on first read
     integral_matrices: tuple[int, int, tuple[tuple[tuple[int, ...], ...], ...]]
@@ -367,12 +364,11 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     With z = zeta/Dz, lams = a/D, P = lcm_{i<j} |zeta_i - zeta_j| and L = 2 D^2 P, the image
     w = (L / Dz) H_i u_f of a kernel vector u_f = s_f v_f is integral (_images).  Kernel
     vector g is 1 at free column g and 0 at the other free columns, so V_i[f] = w read
-    there.  Exact checks: each image is killed by the raising operator, and the R_i
-    commute and are self-adjoint for the Gram matrix.
+    there.  Exact checks: each image is killed by the raising operator, the R_i commute,
+    and (u_f, H_i u_g), a pairing of the full images run after the kill check, is symmetric.
     """
     cfg.require_generic()
     basis = singular_basis(cfg.weights, cfg.m)
-    gram = _gram_on_basis(basis)
     (den, nums), kernel = basis.integral_weights, basis.integral_vectors
     dz, zeta = exact._integer_row(cfg.z)
     p = math.lcm(*(zi - zj for zi, zj in itertools.combinations(zeta, 2)))
@@ -388,9 +384,10 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     sigma = [big // s for s, _ in kernel]
     for a, b in itertools.combinations(restricted, 2):
         _check_commute(a, b, sigma)
-    for ints in restricted:
-        _check_self_adjoint(ints, gram.integral_gram[2], sigma)
-    return GaudinSystem(cfg, basis, gram, (dz, 2 * den * den * p, restricted))
+    vectors, norms = [u for _, u in kernel], _norm_numerators(den, nums, cfg.m)
+    for per_i in images:
+        _check_self_adjoint(exact.pairing(vectors, norms, per_i))
+    return GaudinSystem(cfg, basis, (dz, 2 * den * den * p, restricted))
 
 
 def _images(
@@ -421,24 +418,17 @@ def _images(
     return out
 
 
-def _product(a, sigma: Sequence[int], b) -> list[list[int]]:
-    """The integer matrix a diag(sigma) b."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in ([*map(mul, r, sigma)] for r in a)]
-
-
 def _check_commute(a, b, sigma: Sequence[int]) -> None:
     # R_i = c S^-1 V_i with S = diag(s_f) and a scalar c, so R_a R_b = R_b R_a
     # iff V_a Sigma V_b = V_b Sigma V_a, Sigma = diag(lcm(s) / s_f)
-    if _product(a, sigma, b) != _product(b, sigma, a):
+    if exact.pairing(a, sigma, list(zip(*b))) != exact.pairing(b, sigma, list(zip(*a))):
         raise InvariantError("Gaudin Hamiltonians fail to commute: arithmetic bug")
 
 
-def _check_self_adjoint(ints, gram_int, sigma: Sequence[int]) -> None:
-    # R (H s_u = sum R[u][w] s_w) is self-adjoint for G = S^-1 G_int S^-1 / D^m
-    # when G R^T is symmetric; with R = c S^-1 V, when V Sigma G_int is
-    gr = _product(ints, sigma, gram_int)
-    if any(gr[i][j] != gr[j][i] for i in range(len(gr)) for j in range(i)):
+def _check_self_adjoint(pair) -> None:
+    # pair[f][g] = D^m (L / Dz) s_f s_g (v_f, H_i v_g): H_i is self-adjoint for the
+    # induced form iff this integer matrix is symmetric
+    if any(pair[i][j] != pair[j][i] for i in range(len(pair)) for j in range(i)):
         raise InvariantError("Hamiltonian is not self-adjoint for the induced form: arithmetic bug")
 
 

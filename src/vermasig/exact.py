@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q on integer rows: solves, Gram matrices, inertia.
+"""Exact linear algebra over Q on integer rows: solves, one pairing, inertia.
 
 Rows are cleared to integers (a row over a positive denominator is the same
 rational row), then eliminated fraction-free: ``pivot * row - factor *
@@ -6,19 +6,20 @@ pivot_row``, divided by the gcd of its entries and denominator, so numbers
 stay as small as the reduced rationals of a Fraction elimination.  Unlike
 Bareiss's exact-division update this leaves rows with a zero in the pivot
 column untouched, so sparse rows stay sparse.  Results equal a Fraction
-elimination's exactly; nothing here uses floating point.
+elimination's exactly; nothing here uses floating point.  The one integer product,
+``pairing``, gives the Gram matrix of a kernel and both exact Gaudin checks.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from .sigchar import DomainError
 
 Matrix = list[list[Fraction]]
+IntRows = Sequence[Sequence[int]]
 
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -74,15 +75,17 @@ def express_in_basis(
     return [[Fraction(rows[u][r + v], rows[u][u]) for u in range(r)] for v in range(k)]
 
 
-def gram(vectors: Sequence[Sequence[int]], weights: Sequence[int]) -> list[list[int]]:
-    """Integer Gram matrix G[u][v] = sum_k vectors[u][k] * weights[k] * vectors[v][k]."""
-    size = len(vectors)
-    g = [[0] * size for _ in range(size)]
-    for i, ui in enumerate(vectors):
-        weighted = list(map(mul, ui, weights))
-        for j in range(i, size):
-            g[i][j] = g[j][i] = sum(map(mul, weighted, vectors[j]))
-    return g
+def pairing(vectors: IntRows, weights: Sequence[int], others: IntRows) -> list[list[int]]:
+    """P[u][v] = sum_k vectors[u][k] * weights[k] * others[v][k], summed over the nonzero
+    terms of vectors[u] only: kernel vectors and restricted Hamiltonians are sparse."""
+    columns, out = list(zip(*others)), []
+    for u in vectors:
+        row = [0] * len(others)
+        for x, w, column in zip(u, weights, columns):
+            if xw := x * w:
+                row = [p + xw * y for p, y in zip(row, column)]
+        out.append(row)
+    return out
 
 
 def inertia(entries: Sequence[Sequence[Fraction]]) -> tuple[int, int]:

@@ -72,7 +72,7 @@ def _bracket_sign(y: int, den: int, qp: QParam) -> int:
 
 def q_int_sign(j: int, qp: QParam) -> int:
     """Exact sign of [j] at q = e^{i*pi*t}: reduce j*p modulo 2D."""
-    return _bracket_sign(j, 1, qp)
+    return _bracket_sign(ensure_int(j, "j"), 1, qp)
 
 
 def _binomial_sign(floor: int, rem: int, bottom: int, den: int, qp: QParam | None) -> int:
@@ -172,8 +172,7 @@ def crystal_multiplicity(a: Sequence[int], m: int) -> int:
     tuples 0 <= k_i <= a_i summing to m, for 0 <= m <= sum(a)/2.  Above that
     the summand does not exist and the multiplicity is 0.
     """
-    if m < 0 or any(x < 0 for x in a):
-        raise DomainError("need a nonnegative level and nonnegative weights")
+    a, m = [ensure_int(x, "weight", 0) for x in a], ensure_int(m, "level", 0)
     if m > sum(a) // 2:
         return 0
 
@@ -204,8 +203,7 @@ def q_int_value(k: int, qp: QParam) -> float:
 
 def q_binomial_value(n: int, k: int, qp: QParam) -> float:
     """(n choose k)_q = prod_{j=1}^{k} [n-j+1]/[j], any integer n, k >= 0."""
-    if k < 0:
-        raise DomainError("bottom index must be nonnegative")
+    n, k = ensure_int(n, "top index"), ensure_int(k, "bottom index", 0)
     value = 1.0
     for j in range(1, k + 1):
         value *= q_int_value(n - j + 1, qp) / q_int_value(j, qp)
@@ -229,6 +227,7 @@ def _hwv_coefficients(a: int, b: int, m: int, qp: QParam) -> list[complex]:
 
     The i-th is (-1)^i q^{ai-i^2+i} (b-m+i choose i)_q / (a choose i)_q.
     """
+    a, b, m = ensure_int(a, "a"), ensure_int(b, "b"), ensure_int(m, "level")
     if not 0 <= m <= min(a, b):
         raise DomainError(f"need 0 <= m <= min(a, b), got m={m}")
     return [

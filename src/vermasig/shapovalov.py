@@ -9,12 +9,12 @@ to integers over a common denominator D.  The raising equations are
 triangular in the first factor, so the kernel comes from an integer recursion
 over the first part, without elimination, and is then checked exactly against
 the raising operator.  The kernel (a positive scale and an integer vector per
-free column), the norms times D^m and the Gram matrix are integers, and one
-elimination of that Gram matrix decides both nondegeneracy and inertia, which
-the GramMatrix stores.  The raising operator and the product form are kept as
-sparse integer columns and norms; their dense Fraction matrices are only the
-tests' reference.  No floating point anywhere in this module; it is the
-trust anchor for the other modules' tests.
+free column), the norms times D^m and the Gram matrix (``exact.pairing`` of the
+kernel through the norms) are integers, and one elimination of that Gram matrix
+decides both nondegeneracy and inertia, which the GramMatrix stores.  The
+raising operator and the product form are kept as sparse integer columns and
+norms; their dense Fraction matrices are only the tests' reference.  No floating
+point anywhere in this module; it is the trust anchor for the other modules' tests.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .sigchar import (
 _ZERO = Fraction(0)
 
 
-# cached: a basis, its kernel check and its norms enumerate the same few levels
-@functools.lru_cache(maxsize=256)
+# cached: a basis, its kernel check and its norms share levels; typed, so 1.0 is not served as 1
+@functools.lru_cache(maxsize=256, typed=True)
 def compositions(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Compositions of m into n nonnegative parts, in colexicographic order.
 
@@ -44,8 +44,7 @@ def compositions(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     last part varies slowest.  The ordering is part of the module contract so
     Gram matrices are reproducible.
     """
-    if m < 0 or n < 1:
-        raise DomainError("need m >= 0 and n >= 1")
+    m, n = ensure_int(m, "m", 0), ensure_int(n, "n", 1)
     if n == 1:
         return ((m,),)
     return tuple(c + (last,) for last in range(m + 1) for c in compositions(m - last, n - 1))
@@ -211,14 +210,12 @@ def _norm_numerators(den: int, nums: Sequence[int], m: int) -> list[int]:
 
 
 def gram_on_multiplicity(lams: Sequence[RationalLike], m: int) -> GramMatrix:
-    """Gram matrix of the induced form on the level-m multiplicity space."""
-    return _gram_on_basis(singular_basis(lams, m))
-
-
-def _gram_on_basis(basis: SingularBasis) -> GramMatrix:
-    """The induced form from the basis's integers, with its inertia from one elimination."""
+    """Gram matrix of the induced form on the level-m multiplicity space: the integer
+    pairing of the kernel vectors through the norms, with its inertia from one elimination."""
+    basis = singular_basis(lams, m)
     (den, nums), kernel = basis.integral_weights, basis.integral_vectors
-    g = exact.gram([u for _, u in kernel], _norm_numerators(den, nums, basis.m))
+    vectors = [u for _, u in kernel]
+    g = exact.pairing(vectors, _norm_numerators(den, nums, basis.m), vectors)
     try:
         inertia = exact.inertia(g)
     except DomainError:

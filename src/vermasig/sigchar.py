@@ -192,7 +192,8 @@ class Decomposition:
 
     def definite_levels(self, bound: int | None = None) -> tuple[tuple[int, int], ...]:
         """Sorted (level, sign) pairs of the definite spaces up to ``bound``."""
-        top = len(self.entries) - 1 if bound is None else min(bound, len(self.entries) - 1)
+        last = len(self.entries) - 1
+        top = last if bound is None else min(ensure_int(bound, "bound"), last)
         return tuple(
             (e.level, e.definite_sign)
             for e in self.entries[: top + 1]

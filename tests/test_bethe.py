@@ -1,7 +1,7 @@
 import math
 import random
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,10 +16,11 @@ from vermasig import (
     count_real_by_spectrum,
     find_critical_points,
     gaudin_system,
+    gram_on_multiplicity,
     master_value,
     zy_commutator_check,
 )
-from vermasig import bethe
+from vermasig import bethe, exact
 from vermasig.bethe import hamiltonian_matrices, highest_vector_eigenvalue
 from vermasig.sigchar import is_generic
 
@@ -75,15 +76,16 @@ def test_master_value_m1():
 def test_collision_rule_is_the_polish_rule():
     # 5e-13 from z = 0, or between two coordinates, with |t| <= 1 is farther than
     # _too_close's 1e-13 (1 + max|t|), so the polish keeps such a point, and the
-    # public entry points accept it; 5e-14 collides for all of them
+    # public entry points accept it; 5e-14 collides for all of them.  The diagonal
+    # t_i - t_i is no pair: far-apart coordinates of size 1e14 do not collide
     cfg = MasterConfig((F(0), F(1), F(3)), (F(-1, 2), F(-3, 4), F(-7, 5)), 2)
     public = (bethe_residual, bethe_vector, master_value)
-    for t in ([5e-13, 0.5], [0.5, 0.5 + 5e-13]):
+    for t in ([5e-13, 0.5], [0.5, 0.5 + 5e-13], [1e14, 2e14]):
         stack = np.array([t], dtype=complex)
         assert not bethe._too_close(stack, *bethe._differences(cfg, stack))[0]
         assert math.isfinite(bethe_residual(cfg, t))
         assert np.isfinite(bethe_vector(cfg, t)).all() and master_value(cfg, t) > 0
-    for t in ([5e-14, 0.5], [0.5, 0.5 + 5e-14], [1.0, 0.5], [0.5, 0.5]):
+    for t in ([5e-14, 0.5], [0.5, 0.5 + 5e-14], [1.0, 0.5], [0.5, 0.5], [1e14, 1e14]):
         stack = np.array([t], dtype=complex)
         assert bethe._too_close(stack, *bethe._differences(cfg, stack))[0]
         for entry in public:
@@ -134,9 +136,25 @@ def test_gaudin_system_invariants_checked_exactly():
     cfg = MasterConfig((F(0), F(1), F(3), F(7, 2)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 3)
     system = gaudin_system(cfg)
     assert system.basis.dim == cfg.dim == math.comb(5, 2)
-    gram = system.gram
+    gram = gram_on_multiplicity(cfg.weights, cfg.m)
     r = gram.size
     assert all(gram.entries[i][j] == gram.entries[j][i] for i in range(r) for j in range(r))
+
+
+def test_gaudin_system_builds_no_gram_matrix(monkeypatch):
+    # dim 35 (n = 5, m = 4): both exact checks are pairings, and no inertia is taken
+    def no_inertia(entries):
+        raise AssertionError("the Gaudin path eliminated a Gram matrix")
+
+    monkeypatch.setattr(exact, "inertia", no_inertia)
+    cfg = MasterConfig(
+        (F(0), F(1), F(3), F(7, 2), F(5)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7), F(-13, 9)), 4
+    )
+    system = gaudin_system(cfg)
+    assert system.basis.dim == cfg.dim == 35
+    assert "gram" not in {f.name for f in fields(system)}
+    n_real, witnesses = count_real_by_spectrum(cfg)
+    assert len(witnesses) == 35 and n_real <= 35
 
 
 def test_gaudin_system_stores_integers_and_decodes_matrices_on_read():

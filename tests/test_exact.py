@@ -150,7 +150,22 @@ def test_singular_input_is_detected():
         # the integer Gram of the same rank-deficient rows: inertia decides singularity
         cleared = [exact._integer_row(row)[1] for row in half]
         with pytest.raises(DomainError):
-            exact.inertia(exact.gram(cleared, [1] * size))
+            exact.inertia(exact.pairing(cleared, [1] * size, cleared))
+
+
+def test_pairing_is_the_triple_sum():
+    rng = random.Random(18)
+    for _ in range(40):
+        rows, cols, size = rng.randint(0, 5), rng.randint(0, 5), rng.randint(1, 7)
+        # about half the entries of vectors are zero, and others differs from vectors
+        vectors = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(size)] for _ in range(rows)]
+        weights = [rng.randint(-5, 5) for _ in range(size)]
+        others = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(cols)]
+        want = [
+            [sum(vectors[u][k] * weights[k] * others[v][k] for k in range(size)) for v in range(cols)]
+            for u in range(rows)
+        ]
+        assert exact.pairing(vectors, weights, others) == want
 
 
 def test_degenerate_form_raises_genericity_error():
@@ -224,7 +239,7 @@ def census_like_configs():
 
 def test_gaudin_gram_carries_reference_inertia():
     for cfg in census_like_configs():
-        gram = gaudin_system(cfg).gram
+        gram = gram_on_multiplicity(cfg.weights, cfg.m)
         assert exact_signature(gram) == ref.inertia(gram.entries), cfg
         # the stored inertia is the one a fresh elimination of the entries finds
         assert gram.inertia == exact.inertia(gram.entries), cfg

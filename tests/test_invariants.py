@@ -19,8 +19,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # integer W_a, W_b and Sigma: W_a W_b = W_b W_a, but W_a Sigma W_b != W_b Sigma W_a
 NON_COMMUTING = ([[0, 1], [0, 0]], [[1, 0], [0, 1]], [1, 2])
-# W Sigma G_int is not symmetric
-NOT_SELF_ADJOINT = ([[0, 1], [0, 0]], [[1, 0], [0, 1]], [1, 1])
+# a pairing (u_f, H u_g) that is not symmetric
+NOT_SELF_ADJOINT = [[0, 1], [0, 0]]
 GAUDIN_CFG = MasterConfig((F(0), F(1), F(-3, 2)), (F(23, 10), F(17, 10), F(-2, 5)), 2)
 IMAGES = bethe._images
 
@@ -59,7 +59,7 @@ def test_invariant_violations_raise(monkeypatch):
     with pytest.raises(InvariantError):
         _check_commute(*NON_COMMUTING)
     with pytest.raises(InvariantError):
-        _check_self_adjoint(*NOT_SELF_ADJOINT)
+        _check_self_adjoint(NOT_SELF_ADJOINT)
     singular_basis(*BASIS_ARGS)
     with monkeypatch.context() as patch:
         patch.setattr(shapovalov, "_kernel", corrupted_kernel)
@@ -94,7 +94,7 @@ def test_invariant_violations_raise_under_optimize():
         "except InvariantError:",
         "    print('commute raised')",
         "try:",
-        f"    _check_self_adjoint(*{NOT_SELF_ADJOINT!r})",
+        f"    _check_self_adjoint({NOT_SELF_ADJOINT!r})",
         "except InvariantError:",
         "    print('self-adjoint raised')",
         "kernel = shapovalov._kernel",

@@ -199,6 +199,10 @@ def test_crystal_multiplicity_values():
         crystal_multiplicity([2, 2], -1)
     with pytest.raises(DomainError):
         crystal_multiplicity([2, -1], 0)
+    # a fractional level or weight once raised a raw TypeError or returned a count
+    for a, m in (([2, 2], 1.5), ([2.5, 2], 1)):
+        with pytest.raises(DomainError):
+            crystal_multiplicity(a, m)
 
 
 def test_signature_bounded_by_crystal_multiplicity_past_top_level():
@@ -222,6 +226,14 @@ def test_hwv_small_case():
     assert abs(state.coeffs[1, 0] + qp.q) < 1e-14
     with pytest.raises(DomainError):
         unit_normalized_hwv(2, 2, 3, qp)
+    # fractional indices once raised a raw TypeError or returned a value
+    for call in (
+        lambda: unit_normalized_hwv(2.5, 2, 1, qp), lambda: unit_normalized_hwv(2, 2, 1.0, qp),
+        lambda: closed_form_norm(2, 2, 1.5, qp), lambda: q_binomial_value(5, 1.5, qp),
+        lambda: q_binomial_value(5.5, 1, qp), lambda: q_int_sign(1.5, qp),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def raising_action(state: QTensorState, qp: QParam) -> np.ndarray:

@@ -39,6 +39,14 @@ def test_compositions_colex_order():
         assert a[last] < b[last]
 
 
+def test_compositions_reject_non_integers():
+    # 1.5 once raised a raw TypeError; 1.0 was served from the cache entry of 1
+    assert compositions(2, 1) == ((2,),)
+    for m, n in ((1.5, 3), (2, 1.0), (-1, 2), (2, 0)):
+        with pytest.raises(DomainError):
+            compositions(m, n)
+
+
 def test_compositions_are_sorted_lex_compositions():
     # Gram matrices depend on this order
     for m in range(9):

@@ -240,3 +240,5 @@ def test_entry_rejects_levels_outside_the_depth():
     for m in (-1, 4):
         with pytest.raises(DomainError):
             dec.entry(m)
+    with pytest.raises(DomainError):
+        dec.definite_levels(1.5)
