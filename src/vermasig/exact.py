@@ -1,13 +1,15 @@
-"""Exact linear algebra over Q on integer rows: solves, one pairing, inertia.
+"""Exact linear algebra over Q on integers: solves, one pairing, inertia.
 
 Rows are cleared to integers (a row over a positive denominator is the same
 rational row), then eliminated fraction-free: ``pivot * row - factor *
-pivot_row``, divided by the gcd of its entries and denominator, so numbers
-stay as small as the reduced rationals of a Fraction elimination.  Unlike
-Bareiss's exact-division update this leaves rows with a zero in the pivot
-column untouched, so sparse rows stay sparse.  Results equal a Fraction
-elimination's exactly; nothing here uses floating point.  The one integer product,
-``pairing``, gives the Gram matrix of a kernel and both exact Gaudin checks.
+pivot_row``, divided by the gcd of its entries, so numbers stay as small as
+the reduced rationals of a Fraction elimination.  Unlike Bareiss's
+exact-division update this leaves rows with a zero in the pivot column
+untouched, so sparse rows stay sparse.  ``inertia`` eliminates a symmetric
+matrix on its upper triangle alone and divides each remaining block by one
+content per pivot.  Results equal a Fraction elimination's exactly; nothing
+here uses floating point.  The one integer product, ``pairing``, gives the
+Gram matrix of a kernel and both exact Gaudin checks.
 """
 
 from __future__ import annotations
@@ -91,60 +93,60 @@ def pairing(vectors: IntRows, weights: Sequence[int], others: IntRows) -> list[l
 def inertia(entries: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
     """(pos, neg) of a nonsingular symmetric rational matrix, by congruence.
 
-    Symmetric pivoting on the diagonal; when every remaining diagonal entry
-    vanishes, adding row and column j to row and column i exposes 2*a[i][j]
-    as a pivot.  Row i is held as integers over a positive denominator, so
-    every zero test and pivot sign is read off the integers.  The numerators
-    are first divided by their common gcd, a positive scalar that keeps the
-    inertia.  Raises DomainError on singular input.
+    The matrix is multiplied by the lcm of its denominators and divided by its
+    content, positive scalars that keep the inertia.  Row r is then kept from
+    its diagonal on, and pivot i turns each later row into piv * row - f *
+    pivot row (f read off the pivot row, by symmetry), so the block left is
+    piv times the Schur complement: a negative pivot flips the signs of the
+    pivots after it.  Each block is divided by its content.  A zero pivot is
+    swapped for a later nonzero diagonal entry; when every remaining one
+    vanishes, adding row and column j to row and column i exposes 2*a[i][j].
+    Raises DomainError on singular, non-square or non-symmetric input.
     """
-    size = len(entries)
-    cleared = [_integer_row(row) for row in entries]
-    dens = [s for s, _ in cleared]
-    content = math.gcd(*(math.gcd(*row) for _, row in cleared)) or 1
-    a = [[x // content for x in row] for _, row in cleared]
-
-    def swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        dens[i], dens[j] = dens[j], dens[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    pos = 0
+    # star-args over lists, not generators: a generator's argument tuple is resized, and
+    # each call then parks one tuple in CPython's free list of its final size
+    scale = math.lcm(*[x.denominator for row in entries for x in row])
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+    content = math.gcd(*[math.gcd(*row) for row in a])
+    if content > 1:
+        a = [[x // content for x in row] for row in a]
+    if list(map(list, zip(*a))) != a:
+        raise DomainError("matrix is not square and symmetric")
+    size = len(a)
+    t = [row[r:] for r, row in enumerate(a)]
+    pos, flip = 0, False
     for i in range(size):
-        if a[i][i] == 0:
-            j = next((j for j in range(i + 1, size) if a[j][j] != 0), None)
-            if j is not None:
-                swap(i, j)
-            else:
-                if not any(a[i][i:]):
-                    k = next((k for k in range(i + 1, size) if any(a[k][i:])), None)
-                    if k is None:
-                        raise DomainError("matrix is singular")
-                    swap(i, k)
-                j = next(j for j in range(i + 1, size) if a[i][j] != 0)
-                # congruence by (row i += row j, col i += col j): the new
-                # diagonal entry is 2*a[i][j] since both old diagonals vanish
-                di, dj = dens[i], dens[j]
-                a[i] = [x * dj + y * di for x, y in zip(a[i], a[j])]
-                dens[i] = di * dj
-                for row in a:
-                    row[i] += row[j]
-        prow = a[i]
-        piv = prow[i]
-        pos += piv > 0
-        for r in range(i + 1, size):
-            row = a[r]
-            f = row[i]
-            if not f:
-                continue
-            # rational row r minus (a_ri / a_ii) * row i, over dens[r] * piv
-            new = [piv * x - f * y for x, y in zip(row[i + 1 :], prow[i + 1 :])]
-            den = dens[r] * piv
-            g = math.gcd(den, *new)
-            if den < 0:
-                g = -g
-            a[r] = [0] * (i + 1) + [x // g for x in new]
-            dens[r] = den // g
+        if not t[i][0]:
+            t[i:] = _expose_pivot(t[i:])
+        prow = t[i]
+        piv = prow[0]
+        pos += (piv > 0) != flip
+        flip ^= piv < 0
+        for k in range(1, size - i):
+            f, row = prow[k], t[i + k]
+            t[i + k] = [piv * x - f * y for x, y in zip(row, prow[k:])] if f else [piv * x for x in row]
+        g = math.gcd(*[math.gcd(*row) for row in t[i + 1 :]])
+        if g > 1:
+            t[i + 1 :] = [[x // g for x in row] for row in t[i + 1 :]]
     return pos, size - pos
 
+
+def _expose_pivot(t: list[list[int]]) -> list[list[int]]:
+    """A congruent symmetric block, as upper-triangle rows, whose first diagonal entry is
+    nonzero: swap in the first nonzero diagonal entry, or else add row and column j to the
+    first row and column, whose new diagonal entry is 2*a[0][j]."""
+    size = len(t)
+    a = [[t[min(r, c)][abs(c - r)] for c in range(size)] for r in range(size)]
+    j = next((j for j in range(size) if a[j][j]), None)
+    if j is not None:
+        a[0], a[j] = a[j], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+    else:
+        j = next((j for j, x in enumerate(a[0]) if x), None)
+        if j is None:
+            raise DomainError("matrix is singular")
+        a[0] = [x + y for x, y in zip(a[0], a[j])]
+        for row in a:
+            row[0] += row[j]
+    return [row[r:] for r, row in enumerate(a)]

@@ -215,10 +215,11 @@ def ensure_generic_tuple(lams: Iterable[RationalLike]) -> list[Fraction]:
     return out
 
 
-def _numerator_product(lams: Sequence[Fraction]) -> list[SCoeff]:
-    """Coefficients of prod_i N_{lam_i}, where N_lam = (1 - s x) ch(M_lam) is 1 for
-    lam < 0 and 1 + (1 - s)(x + ... + x^ceil(lam)) for lam > 0.  As
-    (1 - s)(p + s t) = (p - t)(1 - s), only coefficients with p != t spread."""
+def _numerator_product(lams: Sequence[Fraction], depth: int | None = None) -> list[SCoeff]:
+    """Coefficients of prod_i N_{lam_i} up to x^depth (all of them for None), where
+    N_lam = (1 - s x) ch(M_lam) is 1 for lam < 0 and 1 + (1 - s)(x + ... + x^ceil(lam))
+    for lam > 0.  As (1 - s)(p + s t) = (p - t)(1 - s), only coefficients with p != t
+    spread; those past depth are cut after each factor."""
     plain, twisted = [1], [0]
     for lam in lams:
         width = max(0, math.ceil(lam))
@@ -228,6 +229,8 @@ def _numerator_product(lams: Sequence[Fraction]) -> list[SCoeff]:
             for k in range(i + 1, i + width + 1) if d else ():
                 plain[k] += d
                 twisted[k] -= d
+        if depth is not None:
+            del plain[depth + 1 :], twisted[depth + 1 :]
     return [SCoeff(p, t) for p, t in zip(plain, twisted)]
 
 
@@ -247,7 +250,7 @@ def peel_decompose(lams: Sequence[RationalLike], depth: int) -> Decomposition:
     depth = ensure_int(depth, "depth", 0)
     n = len(lams)
     total = sum(lams)
-    series = _numerator_product(lams)[: depth + 1]
+    series = _numerator_product(lams, depth)
     plain, twisted = map(list, zip(*series, *[(0, 0)] * (depth + 1 - len(series))))
     for _ in range(n - 1):
         for k in range(1, depth + 1):

@@ -117,6 +117,8 @@ def test_inertia_matches_reference_on_random_symmetric_matrices():
                 exact.inertia(a)
             continue
         assert exact.inertia(a) == want, a
+        # -A negates every pivot, so the sign flip must carry through all later pivots
+        assert exact.inertia([[-x for x in row] for row in a]) == want[::-1], a
         checked += 1
     assert checked > 150
 
@@ -128,14 +130,45 @@ def test_inertia_zero_diagonal_uses_row_column_addition():
         [[F(0), F(1), F(2)], [F(1), F(0), F(-1, 3)], [F(2), F(-1, 3), F(0)]],
         # after the first pivot the Schur complement is [[0, 1], [1, 0]]
         [[F(1), F(1), F(0)], [F(1), F(1), F(1, 7)], [F(0), F(1, 7), F(0)]],
+        # a negative first pivot, then the block -[[0, 1], [1, 0]]: (1, 2)
+        [[F(-1), F(1), F(0)], [F(1), F(-1), F(1)], [F(0), F(1), F(0)]],
     ):
         assert exact.inertia(a) == ref.inertia(a)
+        assert exact.inertia([[-x for x in row] for row in a]) == ref.inertia(a)[::-1]
     rng = random.Random(5)
     for _ in range(60):
         a = random_symmetric(rng, rng.randint(2, 6), zero_diagonal=True)
         want = ref.inertia(a)
         if want is not None:
             assert exact.inertia(a) == want
+
+
+def test_inertia_of_the_oracles_largest_grams():
+    """The integer Grams of gram_on_multiplicity at n = 5, m = 4 (35 x 35) and n = 4,
+    m = 5 (21 x 21), with their Fraction entries, against the Fraction reference."""
+    rng = random.Random(35)
+    for n, m, size in ((5, 4, 35), (4, 5, 21)):
+        for _ in range(3):
+            lams = random_generic_tuple(rng, n, denoms=(2, 3, 5, 7, 97), span=200)
+            gram = gram_on_multiplicity(lams, m)
+            g = [list(row) for row in gram.integral_gram[2]]
+            assert len(g) == size
+            want = ref.inertia(g)
+            assert exact.inertia(g) == gram.inertia == want, (lams, m)
+            assert exact.inertia(gram.entries) == want, (lams, m)
+
+
+def test_inertia_rejects_non_square_and_non_symmetric_input():
+    for a in (
+        [[1, 2], [3, 4]],
+        [[F(1), F(1, 2)], [F(1, 3), F(1)]],
+        [[0, 1, 2], [1, 0, 3], [2, 4, 0]],  # only the lower triangle is off
+        [[1, 2, 3], [2, 1, 0]],
+        [[1, 2], [2]],
+        [[1, 0]],
+    ):
+        with pytest.raises(DomainError, match="square and symmetric"):
+            exact.inertia(a)
 
 
 def test_singular_input_is_detected():

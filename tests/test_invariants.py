@@ -46,9 +46,9 @@ PEEL_ARGS = ([F(7, 2), F(-1, 3)], 6)
 NUMERATOR_PRODUCT = sigchar._numerator_product
 
 
-def corrupted_numerator_product(lams):
+def corrupted_numerator_product(lams, depth=None):
     """peel_decompose's numerator with one coefficient off by one."""
-    out = NUMERATOR_PRODUCT(lams)
+    out = NUMERATOR_PRODUCT(lams, depth)
     out[1] = SCoeff(out[1].plain + 1, out[1].twisted)
     return out
 
@@ -120,8 +120,8 @@ def test_invariant_violations_raise_under_optimize():
         "except InvariantError as error:",
         "    print('invariance raised' if 'multiplicity space' in str(error) else error)",
         "numerator_product = sigchar._numerator_product",
-        "def corrupted(lams):",
-        "    out = numerator_product(lams)",
+        "def corrupted(lams, depth=None):",
+        "    out = numerator_product(lams, depth)",
         "    out[1] = SCoeff(out[1].plain + 1, out[1].twisted)",
         "    return out",
         "sigchar._numerator_product = corrupted",

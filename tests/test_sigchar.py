@@ -14,6 +14,7 @@ from vermasig import (
     peel_decompose,
     verma_character,
 )
+from vermasig import sigchar
 from vermasig.classify import consistent_types, representative_weights
 from vermasig.sigchar import is_generic
 
@@ -242,3 +243,17 @@ def test_entry_rejects_levels_outside_the_depth():
             dec.entry(m)
     with pytest.raises(DomainError):
         dec.definite_levels(1.5)
+
+
+def test_truncated_numerator_product_is_the_full_products_slice():
+    # weights up to about 100 (the oracle's span): the product is far longer than
+    # the depth, and with every weight negative it is shorter than the depth
+    rng = random.Random(12)
+    tuples = [random_generic_tuple(rng, n, denoms=(2, 3, 5, 7, 97), span=200) for n in (2, 2, 3, 4, 5)]
+    tuples += [[F(-1, 2), F(-7, 3)], [F(199, 2), F(-3, 7), F(197, 2)]]
+    assert max(math.ceil(l) for lams in tuples for l in lams) >= 95
+    for lams in tuples:
+        full = sigchar._numerator_product(lams)
+        for depth in range(13):
+            assert sigchar._numerator_product(lams, depth) == full[: depth + 1], (lams, depth)
+            assert peel_decompose(lams, depth) == greedy_peel(lams, depth), (lams, depth)
