@@ -17,10 +17,17 @@ batched Heine-Stieltjes solve and Newton polish over all witnesses finds every
 point, with no search.  The multiplicity-space signature from character
 peeling bounds the real count from below.
 
-One integer builder (``_images``) applies the Casimirs Omega_ij: to the kernel
-vectors for the restricted Hamiltonians, and to the unit vectors of a weight
-space for ``hamiltonian_matrices``; ``exact.pairing`` checks them, with no Gram
-matrix.  One collision rule (``_too_close``) decides whether t meets a z or itself.
+One integer builder (``_images``) applies the Casimirs Omega_ij, one move table
+per pair: to the kernel vectors for the restricted Hamiltonians, and to the unit
+vectors of a weight space for ``hamiltonian_matrices``.  On the multiplicity
+space sum_i H_i = 0 and sum_i z_i H_i = sum_{i<j} Omega_ij is the Casimir scalar
+c = (C(mu) - sum_i C(lam_i))/2, C(x) = x + x^2/2, mu = sum(lam) - 2m, so I and
+H_1, ..., H_{n-2} span the algebra (Mukhin-Tarasov-Varchenko, Ann. Math. 170,
+2009).  ``gaudin_system`` checks those two relations on integers, then
+commutation and self-adjointness (``exact.pairing``, with no Gram matrix) on
+H_1, ..., H_{n-2} alone; that proves both for all n.  One integer formula gives
+the highest-vector eigenvalues c_k.  One collision rule (``_too_close``)
+decides whether t meets a z or itself.
 """
 
 from __future__ import annotations
@@ -114,9 +121,11 @@ class MasterConfig:
     def floats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only float64 arrays (z, lam, c), built once per config.
 
-        c[k] is the exact highest_vector_eigenvalue(self, k), rounded once.
+        c[k] is the exact highest_vector_eigenvalue(self, k), rounded once: int / int
+        rounds correctly, as float(Fraction) does.
         """
-        c = [highest_vector_eigenvalue(self, k) for k in range(self.n)]
+        nums, big = _highest_numerators(self)
+        c = [x / big for x in nums]
         arrays = tuple(np.array(v, dtype=float) for v in (self.z, self.weights, c))
         for a in arrays:
             a.flags.writeable = False
@@ -323,8 +332,7 @@ def hamiltonian_matrices(cfg: MasterConfig, level: int | None = None) -> list[ex
     w of unit vector c under _images, the builder gaudin_system uses.
     """
     comps = compositions(cfg.m if level is None else level, cfg.n)
-    (den, nums), (dz, zeta) = exact._integer_row(cfg.weights), exact._integer_row(cfg.z)
-    p = math.lcm(*(zi - zj for zi, zj in itertools.combinations(zeta, 2)))
+    (den, nums), (dz, zeta, p) = exact._integer_row(cfg.weights), _integral_points(cfg)
     units = [[int(r == c) for r in range(len(comps))] for c in range(len(comps))]
     big = 2 * den * den * p
     # images[i][c], the image of unit vector c, is column c of H_i times big / Dz
@@ -364,14 +372,22 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     With z = zeta/Dz, lams = a/D, P = lcm_{i<j} |zeta_i - zeta_j| and L = 2 D^2 P, the image
     w = (L / Dz) H_i u_f of a kernel vector u_f = s_f v_f is integral (_images).  Kernel
     vector g is 1 at free column g and 0 at the other free columns, so V_i[f] = w read
-    there.  Exact checks: each image is killed by the raising operator, the R_i commute,
-    and (u_f, H_i u_g), a pairing of the full images run after the kill check, is symmetric.
+    there.  Exact checks, in this order:
+
+    - every image of all n Hamiltonians is killed by the raising operator, so it is
+      fixed by its values at the free columns, the only ones the relations read;
+    - the two relations sum_i V_i = 0 and sum_i zeta_i V_i = c L diag(s_f) (_check_relations);
+    - the R_i of H_1, ..., H_{n-2} commute pairwise;
+    - (u_f, H_i u_g), a pairing of the full images, is symmetric for H_1, ..., H_{n-2}.
+
+    By the relations, H_{n-1} and H_n are combinations of I and H_1, ..., H_{n-2}
+    (zeta_{n-1} != zeta_n), so they commute with every H_i and are self-adjoint too.  At
+    n = 3 no commutator is formed; at n = 2 (E_m is a line) only the relations run.
     """
     cfg.require_generic()
     basis = singular_basis(cfg.weights, cfg.m)
     (den, nums), kernel = basis.integral_weights, basis.integral_vectors
-    dz, zeta = exact._integer_row(cfg.z)
-    p = math.lcm(*(zi - zj for zi, zj in itertools.combinations(zeta, 2)))
+    dz, zeta, p = _integral_points(cfg)
     images = _images(den, nums, basis.compositions, [u for _, u in kernel], zeta, p)
     _check_killed(
         den, nums, cfg.m, itertools.chain.from_iterable(images),
@@ -380,14 +396,27 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     restricted = tuple(
         tuple(tuple(w[g] for g in basis.free_columns) for w in per_i) for per_i in images
     )
-    big = math.lcm(*(s for s, _ in kernel))
-    sigma = [big // s for s, _ in kernel]
-    for a, b in itertools.combinations(restricted, 2):
+    scales = [s for s, _ in kernel]
+    # with mu = A / D, A = sum(a) - 2mD, and C(a / D) = (2aD + a^2) / (2D^2): 2 c L
+    total = sum(nums) - 2 * cfg.m * den
+    casimir = p * (2 * total * den + total * total - sum(2 * a * den + a * a for a in nums))
+    _check_relations(restricted, zeta, scales, casimir)
+    independent = cfg.n - 2
+    big = math.lcm(*scales)
+    sigma = [big // s for s in scales]
+    for a, b in itertools.combinations(restricted[:independent], 2):
         _check_commute(a, b, sigma)
     vectors, norms = [u for _, u in kernel], _norm_numerators(den, nums, cfg.m)
-    for per_i in images:
+    for per_i in images[:independent]:
         _check_self_adjoint(exact.pairing(vectors, norms, per_i))
     return GaudinSystem(cfg, basis, (dz, 2 * den * den * p, restricted))
+
+
+def _integral_points(cfg: MasterConfig) -> tuple[int, list[int], int]:
+    """(Dz, zeta, P): z = zeta / Dz, and P = lcm_{i<j} |zeta_i - zeta_j| is divisible by
+    every zeta_i - zeta_j."""
+    dz, zeta = exact._integer_row(cfg.z)
+    return dz, zeta, math.lcm(*[zi - zj for zi, zj in itertools.combinations(zeta, 2)])
 
 
 def _images(
@@ -398,24 +427,49 @@ def _images(
     for integer vectors u_f over the compositions comps and lams = nums / D.
 
     2D^2 Omega_ij moves a unit from factor a to b, {a, b} = {i, j}, by 2D k (a_a - (k - 1) D)
-    with k = k_a, and scales by (a_i - 2 k_i D)(a_j - 2 k_j D).
+    with k = k_a, and scales by (a_i - 2 k_i D)(a_j - 2 k_j D).  Each pair's table of
+    these terms, per composition, is built once and read for every vector.
     """
     index = {c: r for r, c in enumerate(comps)}
     out = [[[0] * len(comps) for _ in vectors] for _ in nums]
     for i, j in itertools.combinations(range(len(nums)), 2):
+        # (c, diagonal coefficient, [(target index, move coefficient)]) per composition c
+        table = []
+        for c, comp in enumerate(comps):
+            moves = []
+            for a, b in ((i, j), (j, i)):
+                if k := comp[a]:
+                    target = list(comp)
+                    target[a], target[b] = k - 1, comp[b] + 1
+                    moves.append((index[tuple(target)], 2 * den * k * (nums[a] - (k - 1) * den)))
+            diagonal = (nums[i] - 2 * comp[i] * den) * (nums[j] - 2 * comp[j] * den)
+            table.append((c, diagonal, moves))
+        # P/(zeta_j - zeta_i) = -wt: P is divisible by zeta_i - zeta_j
+        wt = p // (zeta[i] - zeta[j])
         for f, u in enumerate(vectors):
             omega = [0] * len(comps)
-            for c, (comp, x) in enumerate(zip(comps, u)):
-                if not x:
-                    continue
-                omega[c] += (nums[i] - 2 * comp[i] * den) * (nums[j] - 2 * comp[j] * den) * x
-                for a, b in ((i, j), (j, i)):
-                    if k := comp[a]:
-                        target = tuple(v - (e == a) + (e == b) for e, v in enumerate(comp))
-                        omega[index[target]] += 2 * den * k * (nums[a] - (k - 1) * den) * x
-            for t, wt in ((i, p // (zeta[i] - zeta[j])), (j, p // (zeta[j] - zeta[i]))):
-                out[t][f] = [y + wt * o for y, o in zip(out[t][f], omega)]
+            for x, (c, diagonal, moves) in zip(u, table):
+                if x:
+                    omega[c] += diagonal * x
+                    for t, e in moves:
+                        omega[t] += e * x
+            out[i][f] = [y + wt * o for y, o in zip(out[i][f], omega)]
+            out[j][f] = [y - wt * o for y, o in zip(out[j][f], omega)]
     return out
+
+
+def _check_relations(restricted, zeta: Sequence[int], scales: Sequence[int], casimir: int) -> None:
+    # R_i[f][g] = Dz V_i[f][g] / (L s_f) and z_i = zeta_i / Dz, so sum_i H_i = 0 iff
+    # sum_i V_i = 0, and sum_i z_i H_i = c iff 2 sum_i zeta_i V_i[f][g] = 2 c L s_f delta_fg
+    for f, (s, rows) in enumerate(zip(scales, zip(*restricted))):
+        columns = list(zip(*rows))
+        if any(map(sum, columns)):
+            raise InvariantError("Gaudin Hamiltonians fail sum_i H_i = 0: arithmetic bug")
+        weighted = [2 * sum(map(mul, zeta, col)) for col in columns]
+        if weighted != [casimir * s if g == f else 0 for g in range(len(columns))]:
+            raise InvariantError(
+                "Gaudin Hamiltonians fail sum_i z_i H_i = the Casimir scalar: arithmetic bug"
+            )
 
 
 def _check_commute(a, b, sigma: Sequence[int]) -> None:
@@ -434,10 +488,18 @@ def _check_self_adjoint(pair) -> None:
 
 def highest_vector_eigenvalue(cfg: MasterConfig, i: int) -> Fraction:
     """Exact H_i-eigenvalue of the highest weight line (lam_i/2) sum lam_j/(z_i-z_j)."""
-    lam, z = cfg.weights, cfg.z
-    return (lam[i] / 2) * sum(
-        (lam[j] / (z[i] - z[j]) for j in range(cfg.n) if j != i), Fraction(0)
-    )
+    nums, big = _highest_numerators(cfg)
+    return Fraction(nums[i], big)
+
+
+def _highest_numerators(cfg: MasterConfig) -> tuple[list[int], int]:
+    """([a_k Dz S_k], 2 D^2 P) with S_k = sum_{j != k} a_j P / (zeta_k - zeta_j), lams = a / D:
+    numerator k over the common denominator is the highest-vector eigenvalue c_k."""
+    (den, nums), (dz, zeta, p) = exact._integer_row(cfg.weights), _integral_points(cfg)
+    return [
+        a * dz * sum(b * (p // (zk - zj)) for b, zj in zip(nums, zeta) if zj != zk)
+        for a, zk in zip(nums, zeta)
+    ], 2 * den * den * p
 
 
 # ---------------------------------------------------------------------------

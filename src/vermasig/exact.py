@@ -26,7 +26,7 @@ IntRows = Sequence[Sequence[int]]
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(s, s * values) with s the lcm of the denominators, so s * values is integral."""
-    scale = math.lcm(*(v.denominator for v in values))
+    scale = math.lcm(*[v.denominator for v in values])
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 

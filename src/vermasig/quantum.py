@@ -139,7 +139,7 @@ def multiplicity_signature(
     m = ensure_int(m, "level", 0)
     if qp is not None and all(x.denominator == 1 for x in a) and any(x < 0 for x in a):
         raise DomainError("generic-q integer mode needs nonnegative weights")
-    d = math.lcm(*(x.denominator for x in a))
+    d = math.lcm(*[x.denominator for x in a])
     scaled = [x.numerator * (d // x.denominator) for x in a]
     prefix_cuts = [divmod(v, d) for v in itertools.accumulate(scaled, initial=0)]
     weight_cuts = [divmod(v, d) for v in scaled]

@@ -14,6 +14,10 @@ assignment sum.  ``hamiltonian_matrices_per_factor`` builds each Gaudin
 Hamiltonian H_i on its own in Fractions, with every Casimir Omega_ij built
 again for H_j; it is the reference for both ``gaudin_system`` and
 ``hamiltonian_matrices``, which share the library's integer images.
+``check_every_hamiltonian`` is the exact check ``gaudin_system`` once ran on all
+n Hamiltonians: commutation on every pair, self-adjointness on each; the library
+now checks two linear relations and n - 2 Hamiltonians.  ``census_configs``
+rebuilds the configs of the benchmark's census rounds.
 ``hamiltonian_eigenvalue`` is the joint eigenvalue a critical polynomial
 predicts, and ``raising_residual`` measures a Bethe vector against the
 Fraction raising matrix.  ``search_critical_points`` finds critical points by a
@@ -26,6 +30,7 @@ criteria compare spectrum counting against it.
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,6 +38,7 @@ import numpy as np
 
 from vermasig.bethe import POLISH_ROUNDS, REAL_TOL, RESIDUAL_TOL, CriticalPoint, MasterConfig
 from vermasig.shapovalov import compositions
+from vermasig.sigchar import is_generic
 
 import fraction_reference
 from closed_form_reference import lex_compositions
@@ -194,6 +200,82 @@ def hamiltonian_matrices_per_factor(cfg: MasterConfig, level: int) -> list[list[
                 mat[c][c] += w * (lam[i] - 2 * comp[i]) * (lam[j] - 2 * comp[j]) / 2
         mats.append(mat)
     return mats
+
+
+def check_every_hamiltonian(system) -> None:
+    """Assert, on the stored integers, that the restricted R_i commute pairwise over all
+    C(n, 2) pairs and that each of the n is self-adjoint for the induced form.
+
+    R_i = Dz S^-1 V_i / L with S = diag(s_f), so R_a R_b = R_b R_a iff V_a Sigma V_b is
+    symmetric in a, b, Sigma = diag(lcm(s) / s_f).  The Gram matrix of the v_f is
+    G[f][h] / (s_f s_h D^m), with G the pairing of the integer kernel vectors through
+    D^m times the reference norms, so (v_f, H_i v_g) is symmetric iff G Sigma V_i^T is.
+    Products are numpy object arrays of Python ints, so they stay exact.
+    """
+    basis = system.basis
+    scales = [s for s, _ in basis.integral_vectors]
+    big = math.lcm(*scales)
+    sigma = np.array([big // s for s in scales], dtype=object)
+    mats = [np.array(v, dtype=object).reshape(len(scales), len(scales)) for v in system.integral_matrices[2]]
+    for a, b in itertools.combinations(mats, 2):
+        assert ((a * sigma) @ b == (b * sigma) @ a).all()
+    d = basis.integral_weights[0] ** basis.m
+    norms = [d * x for x in fraction_reference.weight_space_norms(basis.lams, basis.compositions)]
+    assert all(x.denominator == 1 for x in norms)
+    kernel = np.array([u for _, u in basis.integral_vectors], dtype=object)
+    gram = (kernel * np.array([int(x) for x in norms], dtype=object)) @ kernel.T
+    for v in mats:
+        pair = (gram * sigma) @ v.T
+        assert (pair == pair.T).all()
+
+
+def restricted_per_factor(cfg: MasterConfig, basis) -> list[list[list[Fraction]]]:
+    """R_i with H_i v_f = sum_g R_i[f][g] v_g, from hamiltonian_matrices_per_factor on the
+    integer kernel vectors u_f = s_f v_f; asserts that each H_i u_f lies in their span."""
+    kernel = basis.integral_vectors
+    big = math.lcm(*[s for s, _ in kernel])
+    out = []
+    for mat in hamiltonian_matrices_per_factor(cfg, cfg.m):
+        den = math.lcm(*[x.denominator for row in mat for x in row])
+        columns = [[(r, int(x * den)) for r, x in enumerate(col) if x] for col in zip(*mat)]
+        rows = []
+        for s, u in kernel:
+            image = [0] * len(u)  # den H_i u_f
+            for x, column in zip(u, columns):
+                if x:
+                    for r, e in column:
+                        image[r] += e * x
+            coords = [image[c] for c in basis.free_columns]
+            # v_g is 1 at free column g and 0 at the others: den H_i u_f =
+            # sum_g coords[g] v_g, here times lcm(s)
+            span = [0] * len(u)
+            for y, (sg, ug) in zip(coords, kernel):
+                span = [a + y * (big // sg) * b for a, b in zip(span, ug)]
+            assert span == [big * x for x in image]
+            rows.append([Fraction(y, den * s) for y in coords])
+        out.append(rows)
+    return out
+
+
+def census_configs(seed: int, rounds) -> list[MasterConfig]:
+    """The configs of the census rounds of ``perfbench/workloads.py`` for one seed: the
+    same random stream and draws, rebuilt here so the tests import nothing from perfbench."""
+    out = []
+    for k in rounds:
+        rng = random.Random(f"census:{seed}:{k}")
+        for n, m in [(3, m) for m in range(1, 5)] * 2 + [(4, m) for m in range(1, 4)]:
+            while True:
+                lams = [Fraction(rng.randint(-30, 30), rng.choice((7, 10, 11, 13))) for _ in range(n)]
+                if all(is_generic(x) for x in lams) and is_generic(sum(lams)):
+                    break
+            zs: list[Fraction] = []
+            while len(zs) < n:
+                c = Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3)))
+                if c not in zs:
+                    zs.append(c)
+            rng.randrange(10**6)  # the item's --seed
+            out.append(MasterConfig(tuple(zs), tuple(lams), m))
+    return out
 
 
 def hamiltonian_eigenvalue(cfg: MasterConfig, i: int, qpoly: Sequence[complex]) -> complex:

@@ -27,11 +27,14 @@ from vermasig.sigchar import is_generic
 import bethe_reference
 from bethe_reference import (
     bethe_vector_closed_form,
+    census_configs,
+    check_every_hamiltonian,
     critical_points_per_witness,
     hamiltonian_eigenvalue,
     hamiltonian_matrices_per_factor,
     heine_stieltjes_roots,
     raising_residual,
+    restricted_per_factor,
     search_critical_points,
 )
 from test_acceptance import _criterion5_instances
@@ -168,6 +171,60 @@ def test_gaudin_system_stores_integers_and_decodes_matrices_on_read():
     assert gaudin_system(replace(cfg, weights=cfg.weights[:3] + (F(-32, 7),))) != system
     assert system.matrices is system.matrices
     assert system.basis.vectors is system.basis.vectors
+
+
+DIM35 = MasterConfig(
+    (F(0), F(1), F(3), F(7, 2), F(5)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7), F(-13, 9)), 4
+)
+
+
+def test_gaudin_system_passes_the_check_on_every_hamiltonian():
+    # gaudin_system checks two relations and n - 2 Hamiltonians; the reference checks
+    # all n, and the restriction equals the per-factor Hamiltonians' on the basis
+    n2 = [MasterConfig((F(0), F(1)), (F(1, 2), F(1, 3)), m) for m in (1, 2, 5)]
+    cfgs = census_configs(1, range(3)) + n2 + [DIM35]
+    assert len(cfgs) == 37 and {(c.n, c.m) for c in cfgs} >= {(3, 4), (4, 3), (2, 5), (5, 4)}
+    for cfg in cfgs:
+        system = gaudin_system(cfg)
+        check_every_hamiltonian(system)
+        want = restricted_per_factor(cfg, system.basis)
+        assert [[list(row) for row in mat] for mat in system.matrices] == want, cfg
+
+
+def test_census_configs_rebuild_the_benchmark_rounds():
+    # two census items of seed 1, round 0, as the benchmark's repro lines give them:
+    # vermasig bethe --weights -11/5,-27/11,12/13 --z 4/3,-8,7 -m 1 ...
+    # vermasig bethe --weights -17/10,8/5,19/13,-1/2 --z 2,2/3,-2,5/2 -m 3 ...
+    cfgs = census_configs(1, [0])
+    assert sorted((c.n, c.m) for c in cfgs) == sorted(
+        [(3, m) for m in range(1, 5)] * 2 + [(4, m) for m in range(1, 4)]
+    )
+    assert cfgs[0] == MasterConfig((F(4, 3), -8, 7), (F(-11, 5), F(-27, 11), F(12, 13)), 1)
+    assert cfgs[-1] == MasterConfig(
+        (2, F(2, 3), -2, F(5, 2)), (F(-17, 10), F(8, 5), F(19, 13), F(-1, 2)), 3
+    )
+
+
+def test_gaudin_system_checks_n_minus_2_hamiltonians(monkeypatch):
+    calls = {"commute": 0, "self_adjoint": 0, "relations": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        attr = f"_check_{name}"
+        monkeypatch.setattr(bethe, attr, counted(name, getattr(bethe, attr)))
+    lams = (F(-1, 2), F(-3, 4), F(-7, 5), F(23, 10), F(-13, 9))
+    zs = (F(0), F(1), F(3), F(7, 2), F(5))
+    # (commutators, self-adjointness checks) at n = 2..5: C(n - 2, 2) and n - 2
+    for n, want in ((2, (0, 0)), (3, (0, 1)), (4, (1, 2)), (5, (3, 3))):
+        for key in calls:
+            calls[key] = 0
+        gaudin_system(MasterConfig(zs[:n], lams[:n], 2))
+        assert (calls["commute"], calls["self_adjoint"], calls["relations"]) == (*want, 1), n
 
 
 def test_gaudin_level_structure_n2():
@@ -431,10 +488,12 @@ def test_find_critical_points_converts_no_fractions(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(F, "__float__", counting)
-    # the counter sees the view's own conversions: z, weights and c, once each
+    # the counter sees the view's own conversions: z and weights, once each; c is
+    # divided on integers, and bit for bit the float of the Fraction eigenvalue
     cfg.floats
-    assert len(calls) == 3 * cfg.n
+    assert len(calls) == 2 * cfg.n
     calls.clear()
+    assert cfg.floats[2].tolist() == [original(highest_vector_eigenvalue(cfg, k)) for k in range(cfg.n)]
     points = find_critical_points(cfg, witnesses)
     assert len(points) == cfg.dim
     assert calls == []

@@ -31,6 +31,23 @@ def corrupted_images(*args):
     out[1][0][0] += 1
     return out
 
+
+
+def doubled_images(*args):
+    """One image of H_1 doubled: still killed by the raising operator, and sum_i H_i != 0."""
+    out = IMAGES(*args)
+    out[0][0] = [2 * x for x in out[0][0]]
+    return out
+
+
+def shifted_images(*args):
+    """A kernel vector added to an image of H_1 and taken from the same image of H_2:
+    still killed, and sum_i H_i = 0 holds, but sum_i z_i H_i is off."""
+    out, u = IMAGES(*args), args[3][0]
+    out[0][0] = [x + y for x, y in zip(out[0][0], u)]
+    out[1][0] = [x - y for x, y in zip(out[1][0], u)]
+    return out
+
 KERNEL = shapovalov._kernel
 BASIS_ARGS = ((F(23, 10), F(17, 10), F(-2, 5)), 2)
 
@@ -66,9 +83,14 @@ def test_invariant_violations_raise(monkeypatch):
         with pytest.raises(InvariantError, match="singular vector is not killed"):
             singular_basis(*BASIS_ARGS)
     gaudin_system(GAUDIN_CFG)
-    monkeypatch.setattr(bethe, "_images", corrupted_images)
-    with pytest.raises(InvariantError, match="leaves the multiplicity space"):
-        gaudin_system(GAUDIN_CFG)
+    for corrupted, message in (
+        (doubled_images, "fail sum_i H_i = 0"),
+        (shifted_images, "fail sum_i z_i H_i = the Casimir scalar"),
+        (corrupted_images, "leaves the multiplicity space"),
+    ):
+        monkeypatch.setattr(bethe, "_images", corrupted)
+        with pytest.raises(InvariantError, match=message):
+            gaudin_system(GAUDIN_CFG)
     peel_decompose(*PEEL_ARGS)
     monkeypatch.setattr(sigchar, "_numerator_product", corrupted_numerator_product)
     with pytest.raises(InvariantError):
@@ -110,15 +132,29 @@ def test_invariant_violations_raise_under_optimize():
         "    print('kernel raised' if 'singular vector is not killed' in str(error) else error)",
         "shapovalov._kernel = kernel",
         "images = bethe._images",
+        "def doubled_images(*args):",
+        "    out = images(*args)",
+        "    out[0][0] = [2 * x for x in out[0][0]]",
+        "    return out",
+        "def shifted_images(*args):",
+        "    out, u = images(*args), args[3][0]",
+        "    out[0][0] = [x + y for x, y in zip(out[0][0], u)]",
+        "    out[1][0] = [x - y for x, y in zip(out[1][0], u)]",
+        "    return out",
         "def corrupted_images(*args):",
         "    out = images(*args)",
         "    out[1][0][0] += 1",
         "    return out",
-        "bethe._images = corrupted_images",
-        "try:",
-        f"    gaudin_system({GAUDIN_CFG!r})",
-        "except InvariantError as error:",
-        "    print('invariance raised' if 'multiplicity space' in str(error) else error)",
+        "for corrupted, message, name in (",
+        "    (doubled_images, 'fail sum_i H_i = 0', 'sum'),",
+        "    (shifted_images, 'Casimir scalar', 'casimir'),",
+        "    (corrupted_images, 'multiplicity space', 'invariance'),",
+        "):",
+        "    bethe._images = corrupted",
+        "    try:",
+        f"        gaudin_system({GAUDIN_CFG!r})",
+        "    except InvariantError as error:",
+        "        print(name + ' raised' if message in str(error) else error)",
         "numerator_product = sigchar._numerator_product",
         "def corrupted(lams, depth=None):",
         "    out = numerator_product(lams, depth)",
@@ -135,7 +171,7 @@ def test_invariant_violations_raise_under_optimize():
         [sys.executable, "-O", "-c", program], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:6] == [
-        "merge raised", "commute raised", "self-adjoint raised", "kernel raised", "invariance raised",
-        "peel raised",
+    assert proc.stdout.split("\n")[:8] == [
+        "merge raised", "commute raised", "self-adjoint raised", "kernel raised", "sum raised",
+        "casimir raised", "invariance raised", "peel raised",
     ]
