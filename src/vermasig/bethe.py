@@ -17,13 +17,13 @@ batched Heine-Stieltjes solve and Newton polish over all witnesses finds every
 point, with no search.  The multiplicity-space signature from character
 peeling bounds the real count from below.
 
-One integer builder (``_images``) applies the Casimirs Omega_ij, one move table
-per pair: to the kernel vectors for the restricted Hamiltonians, and to the unit
-vectors of a weight space for ``hamiltonian_matrices``.  On the multiplicity
-space sum_i H_i = 0 and sum_i z_i H_i = sum_{i<j} Omega_ij is the Casimir scalar
-c = (C(mu) - sum_i C(lam_i))/2, C(x) = x + x^2/2, mu = sum(lam) - 2m, so I and
-H_1, ..., H_{n-2} span the algebra (Mukhin-Tarasov-Varchenko, Ann. Math. 170,
-2009).  ``gaudin_system`` checks those two relations on integers, then
+One integer builder (``_images``) applies the Casimirs Omega_ij by ``exact.apply``,
+one sparse column per composition and pair: to the kernel vectors for the restricted
+Hamiltonians, and to the unit vectors of a weight space for ``hamiltonian_matrices``.
+On the multiplicity space sum_i H_i = 0 and sum_i z_i H_i = sum_{i<j} Omega_ij is the
+Casimir scalar c = (C(mu) - sum_i C(lam_i))/2, C(x) = x + x^2/2, mu = sum(lam) - 2m,
+so I and H_1, ..., H_{n-2} span the algebra (Mukhin-Tarasov-Varchenko, Ann. Math.
+170, 2009).  ``gaudin_system`` checks those two relations on integers, then
 commutation and self-adjointness (``exact.pairing``, with no Gram matrix) on
 H_1, ..., H_{n-2} alone; that proves both for all n.  One integer formula gives
 the highest-vector eigenvalues c_k.  One collision rule (``_too_close``)
@@ -390,7 +390,7 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     dz, zeta, p = _integral_points(cfg)
     images = _images(den, nums, basis.compositions, [u for _, u in kernel], zeta, p)
     _check_killed(
-        den, nums, cfg.m, itertools.chain.from_iterable(images),
+        basis, itertools.chain.from_iterable(images),
         "a Gaudin Hamiltonian leaves the multiplicity space: an image is",
     )
     restricted = tuple(
@@ -427,32 +427,24 @@ def _images(
     for integer vectors u_f over the compositions comps and lams = nums / D.
 
     2D^2 Omega_ij moves a unit from factor a to b, {a, b} = {i, j}, by 2D k (a_a - (k - 1) D)
-    with k = k_a, and scales by (a_i - 2 k_i D)(a_j - 2 k_j D).  Each pair's table of
-    these terms, per composition, is built once and read for every vector.
+    with k = k_a, and scales by (a_i - 2 k_i D)(a_j - 2 k_j D).  Each pair's sparse columns
+    (per composition its diagonal term, then its moves) are applied to every vector at once.
     """
     index = {c: r for r, c in enumerate(comps)}
     out = [[[0] * len(comps) for _ in vectors] for _ in nums]
     for i, j in itertools.combinations(range(len(nums)), 2):
-        # (c, diagonal coefficient, [(target index, move coefficient)]) per composition c
-        table = []
+        columns = []
         for c, comp in enumerate(comps):
-            moves = []
+            column = [(c, (nums[i] - 2 * comp[i] * den) * (nums[j] - 2 * comp[j] * den))]
             for a, b in ((i, j), (j, i)):
                 if k := comp[a]:
                     target = list(comp)
                     target[a], target[b] = k - 1, comp[b] + 1
-                    moves.append((index[tuple(target)], 2 * den * k * (nums[a] - (k - 1) * den)))
-            diagonal = (nums[i] - 2 * comp[i] * den) * (nums[j] - 2 * comp[j] * den)
-            table.append((c, diagonal, moves))
+                    column.append((index[tuple(target)], 2 * den * k * (nums[a] - (k - 1) * den)))
+            columns.append(column)
         # P/(zeta_j - zeta_i) = -wt: P is divisible by zeta_i - zeta_j
         wt = p // (zeta[i] - zeta[j])
-        for f, u in enumerate(vectors):
-            omega = [0] * len(comps)
-            for x, (c, diagonal, moves) in zip(u, table):
-                if x:
-                    omega[c] += diagonal * x
-                    for t, e in moves:
-                        omega[t] += e * x
+        for f, omega in enumerate(exact.apply(columns, len(comps), vectors)):
             out[i][f] = [y + wt * o for y, o in zip(out[i][f], omega)]
             out[j][f] = [y - wt * o for y, o in zip(out[j][f], omega)]
     return out

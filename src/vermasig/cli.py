@@ -12,7 +12,6 @@ import os
 import random
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 # lets argparse treat "-1/2,-3/4" as a value, not an option (no option string
@@ -268,6 +267,7 @@ def _cmd_bethe(args) -> int:
     rows = []
     failures = 0
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a parallel sweep
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_bethe_level_job, jobs)
     else:

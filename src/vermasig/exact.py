@@ -5,11 +5,12 @@ rational row), then eliminated fraction-free: ``pivot * row - factor *
 pivot_row``, divided by the gcd of its entries, so numbers stay as small as
 the reduced rationals of a Fraction elimination.  Unlike Bareiss's
 exact-division update this leaves rows with a zero in the pivot column
-untouched, so sparse rows stay sparse.  ``inertia`` eliminates a symmetric
+untouched, so sparse rows stay sparse.  ``inertia`` eliminates a symmetric integer
 matrix on its upper triangle alone and divides each remaining block by one
-content per pivot.  Results equal a Fraction elimination's exactly; nothing
-here uses floating point.  The one integer product, ``pairing``, gives the
-Gram matrix of a kernel and both exact Gaudin checks.
+content per pivot.  Results equal a Fraction elimination's exactly; nothing here
+uses floating point.  The one sparse integer product, ``apply``, runs the raising
+operator, the Gaudin Casimirs and, through ``pairing``, the Gram matrix of a kernel
+and the exact Gaudin checks.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .sigchar import DomainError
 
 Matrix = list[list[Fraction]]
 IntRows = Sequence[Sequence[int]]
+# a sparse integer matrix: column c lists its nonzero entries as (row, entry) pairs
+Columns = Sequence[Sequence[tuple[int, int]]]
 
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -77,39 +80,45 @@ def express_in_basis(
     return [[Fraction(rows[u][r + v], rows[u][u]) for u in range(r)] for v in range(k)]
 
 
-def pairing(vectors: IntRows, weights: Sequence[int], others: IntRows) -> list[list[int]]:
-    """P[u][v] = sum_k vectors[u][k] * weights[k] * others[v][k], summed over the nonzero
-    terms of vectors[u] only: kernel vectors and restricted Hamiltonians are sparse."""
-    columns, out = list(zip(*others)), []
+def apply(columns: Columns, size: int, vectors: IntRows) -> list[list[int]]:
+    """A u for each vector u, A the sparse integer matrix with ``size`` rows and the given
+    columns, summed over the nonzero entries of u only."""
+    out = []
     for u in vectors:
-        row = [0] * len(others)
-        for x, w, column in zip(u, weights, columns):
-            if xw := x * w:
-                row = [p + xw * y for p, y in zip(row, column)]
-        out.append(row)
+        image = [0] * size
+        for x, column in zip(u, columns):
+            if x:
+                for row, e in column:
+                    image[row] += e * x
+        out.append(image)
     return out
 
 
-def inertia(entries: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
-    """(pos, neg) of a nonsingular symmetric rational matrix, by congruence.
+def pairing(vectors: IntRows, weights: Sequence[int], others: IntRows) -> list[list[int]]:
+    """P[u][v] = sum_k vectors[u][k] * weights[k] * others[v][k]: ``apply`` on the sparse
+    columns k of the nonzero weights[k] * others[v][k]; kernel vectors are sparse."""
+    pairs = zip(weights, zip(*others))
+    columns = [[(v, e) for v, y in enumerate(col) if (e := w * y)] for w, col in pairs]
+    return apply(columns, len(others), vectors)
 
-    The matrix is multiplied by the lcm of its denominators and divided by its
-    content, positive scalars that keep the inertia.  Row r is then kept from
-    its diagonal on, and pivot i turns each later row into piv * row - f *
-    pivot row (f read off the pivot row, by symmetry), so the block left is
-    piv times the Schur complement: a negative pivot flips the signs of the
-    pivots after it.  Each block is divided by its content.  A zero pivot is
-    swapped for a later nonzero diagonal entry; when every remaining one
-    vanishes, adding row and column j to row and column i exposes 2*a[i][j].
-    Raises DomainError on singular, non-square or non-symmetric input.
+
+def inertia(entries: IntRows) -> tuple[int, int]:
+    """(pos, neg) of a nonsingular symmetric integer matrix, by congruence.
+
+    The matrix is divided by its content, a positive scalar that keeps the
+    inertia.  Row r is then kept from its diagonal on, and pivot i turns each
+    later row into piv * row - f * pivot row (f read off the pivot row, by
+    symmetry), so the block left is piv times the Schur complement: a negative
+    pivot flips the signs of the pivots after it.  Each block is divided by its
+    content.  A zero pivot is swapped for a later nonzero diagonal entry; when
+    every remaining one vanishes, adding row and column j to row and column i
+    exposes 2*a[i][j].  Raises DomainError on singular, non-square or
+    non-symmetric input.
     """
     # star-args over lists, not generators: a generator's argument tuple is resized, and
     # each call then parks one tuple in CPython's free list of its final size
-    scale = math.lcm(*[x.denominator for row in entries for x in row])
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
-    content = math.gcd(*[math.gcd(*row) for row in a])
-    if content > 1:
-        a = [[x // content for x in row] for row in a]
+    content = math.gcd(*[math.gcd(*row) for row in entries])
+    a = [[x // content for x in row] if content > 1 else list(row) for row in entries]
     if list(map(list, zip(*a))) != a:
         raise DomainError("matrix is not square and symmetric")
     size = len(a)

@@ -38,11 +38,12 @@ class QParam:
     denom: int
 
     def __post_init__(self):
-        if not 0 < self.numer < self.denom:
+        numer, denom = ensure_int(self.numer, "numer"), ensure_int(self.denom, "denom")
+        if not 0 < numer < denom:
             raise DomainError("need 0 < t < 1")
-        g = math.gcd(self.numer, self.denom)
-        object.__setattr__(self, "numer", self.numer // g)
-        object.__setattr__(self, "denom", self.denom // g)
+        g = math.gcd(numer, denom)
+        object.__setattr__(self, "numer", numer // g)
+        object.__setattr__(self, "denom", denom // g)
 
     @property
     def t(self) -> Fraction:

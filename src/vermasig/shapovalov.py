@@ -11,10 +11,10 @@ over the first part, without elimination, and is then checked exactly against
 the raising operator.  The kernel (a positive scale and an integer vector per
 free column), the norms times D^m and the Gram matrix (``exact.pairing`` of the
 kernel through the norms) are integers, and one elimination of that Gram matrix
-decides both nondegeneracy and inertia, which the GramMatrix stores.  The
-raising operator and the product form are kept as sparse integer columns and
-norms; their dense Fraction matrices are only the tests' reference.  No floating
-point anywhere in this module; it is the trust anchor for the other modules' tests.
+decides both nondegeneracy and inertia, which the GramMatrix stores.  The raising
+operator (built once per basis, which keeps it) and the product form are sparse
+integer columns and norms; their dense Fraction matrices are only the tests' reference.
+No floating point anywhere in this module; it is the trust anchor for the other modules' tests.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ def shapovalov_norm(lam: RationalLike, k: int) -> Fraction:
     return Fraction(_norm_numerators(den, [lam.numerator], k)[0], den**k)
 
 
-def _raising_columns(
-    den: int, nums: Sequence[int], m: int
-) -> tuple[int, list[list[tuple[int, int]]]]:
+def _raising_columns(den: int, nums: Sequence[int], m: int) -> tuple[int, exact.Columns]:
     """D times the raising matrix (level m -> m - 1) for lams = nums / D: its row count, and
     one sparse column per level-m composition k of (row, entry) pairs, mapping k to
     k_i*(lam_i - k_i + 1) times k with k_i decremented."""
@@ -72,18 +70,12 @@ def _raising_columns(
     ]
 
 
-def _check_killed(den: int, nums: Sequence[int], m: int, vectors, what: str) -> None:
-    """Raise InvariantError unless D times the raising operator, applied column by
-    column, kills each integer level-m vector; ``what`` names the vectors."""
-    size, columns = _raising_columns(den, nums, m)
-    for w in vectors:
-        raised = [0] * size
-        for x, column in zip(w, columns):
-            if x:
-                for row, e in column:
-                    raised[row] += e * x
-        if any(raised):
-            raise InvariantError(f"{what} not killed by the raising operator: arithmetic bug")
+def _check_killed(basis: SingularBasis, vectors, what: str) -> None:
+    """Raise InvariantError unless D times the basis's raising operator kills each integer
+    level-m vector; ``what`` names the vectors."""
+    size, columns = basis.raising
+    if any(map(any, exact.apply(columns, size, vectors))):
+        raise InvariantError(f"{what} not killed by the raising operator: arithmetic bug")
 
 
 @dataclass(frozen=True)
@@ -98,6 +90,8 @@ class SingularBasis:
     integral_weights: tuple[int, tuple[int, ...]] = field(compare=False, repr=False)
     integral_vectors: tuple[tuple[int, tuple[int, ...]], ...]
     free_columns: tuple[int, ...] = field(compare=False, repr=False)
+    # _raising_columns(D, D * lams, m), built once per basis for every kernel check on it
+    raising: tuple[int, exact.Columns] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -117,8 +111,10 @@ def singular_basis(lams: Sequence[RationalLike], m: int) -> SingularBasis:
     comps = compositions(m, len(lams))
     den, nums = exact._integer_row(lams)
     free, kernel = _kernel(den, nums, m)
-    _check_killed(den, nums, m, (u for _, u in kernel), "a singular vector is")
-    return SingularBasis(lams, m, comps, (den, tuple(nums)), tuple(kernel), tuple(free))
+    raising = _raising_columns(den, nums, m)
+    basis = SingularBasis(lams, m, comps, (den, tuple(nums)), tuple(kernel), tuple(free), raising)
+    _check_killed(basis, [u for _, u in kernel], "a singular vector is")
+    return basis
 
 
 def _kernel(

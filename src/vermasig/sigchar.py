@@ -193,7 +193,7 @@ class Decomposition:
     def definite_levels(self, bound: int | None = None) -> tuple[tuple[int, int], ...]:
         """Sorted (level, sign) pairs of the definite spaces up to ``bound``."""
         last = len(self.entries) - 1
-        top = last if bound is None else min(ensure_int(bound, "bound"), last)
+        top = last if bound is None else min(ensure_int(bound, "bound", 0), last)
         return tuple(
             (e.level, e.definite_sign)
             for e in self.entries[: top + 1]

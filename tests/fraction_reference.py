@@ -7,7 +7,10 @@ factor multiplied out in Fractions, and Gram entries as sums of Fraction
 products.  The tests require the library to return exactly these values.
 ``integer_nullspace`` is the integer Gauss-Jordan kernel the oracle used
 before its singular vectors came from a triangular recursion; it is the
-second reference for that recursion.
+second reference for that recursion.  ``pairing`` and ``raise_vectors`` are the
+integer product loops the library ran before its one sparse product
+``exact.apply``, and ``cleared`` is the Fraction front end its integer
+``inertia`` no longer has.
 """
 
 from __future__ import annotations
@@ -140,6 +143,40 @@ def gram(vectors, diag):
             v = vectors[j]
             out[i][j] = out[j][i] = sum((x * v[k] for k, x in weighted), Fraction(0))
     return out
+
+
+def pairing(vectors, weights, others):
+    """P[u][v] = sum_k vectors[u][k] weights[k] others[v][k]: for each nonzero
+    vectors[u][k] weights[k], one dense pass over column k of others."""
+    columns, out = list(zip(*others)), []
+    for u in vectors:
+        row = [0] * len(others)
+        for x, w, column in zip(u, weights, columns):
+            if xw := x * w:
+                row = [p + xw * y for p, y in zip(row, column)]
+        out.append(row)
+    return out
+
+
+def raise_vectors(columns, size, vectors):
+    """The size-row matrix given by sparse (row, entry) columns applied to each vector,
+    column by column over the vector's nonzero entries."""
+    out = []
+    for w in vectors:
+        raised = [0] * size
+        for x, column in zip(w, columns):
+            if x:
+                for row, e in column:
+                    raised[row] += e * x
+        out.append(raised)
+    return out
+
+
+def cleared(entries):
+    """entries times the lcm of their denominators: an integer matrix with the inertia of
+    entries, the input ``vermasig.exact.inertia`` takes."""
+    scale = math.lcm(*[x.denominator for row in entries for x in row])
+    return [[int(x * scale) for x in row] for row in entries]
 
 
 def is_singular(mat):

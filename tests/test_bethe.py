@@ -20,7 +20,7 @@ from vermasig import (
     master_value,
     zy_commutator_check,
 )
-from vermasig import bethe, exact
+from vermasig import bethe, exact, shapovalov
 from vermasig.bethe import hamiltonian_matrices, highest_vector_eigenvalue
 from vermasig.sigchar import is_generic
 
@@ -158,6 +158,22 @@ def test_gaudin_system_builds_no_gram_matrix(monkeypatch):
     assert "gram" not in {f.name for f in fields(system)}
     n_real, witnesses = count_real_by_spectrum(cfg)
     assert len(witnesses) == 35 and n_real <= 35
+
+
+def test_gaudin_system_builds_the_raising_operator_once(monkeypatch):
+    # the basis's kernel check and the images' invariance check share one raising operator
+    calls = []
+    real = shapovalov._raising_columns
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(shapovalov, "_raising_columns", counted)
+    cfg = MasterConfig((F(0), F(1), F(3), F(7, 2)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 3)
+    system = gaudin_system(cfg)
+    assert len(calls) == 1
+    assert system.basis.raising == real(*calls[0])
 
 
 def test_gaudin_system_stores_integers_and_decodes_matrices_on_read():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -240,7 +241,8 @@ class RecordingPool:
 
 @pytest.mark.parametrize("threads, sizes", [("1", []), ("2", [2]), ("64", [2])])
 def test_bethe_pool_never_outnumbers_jobs(capsys, monkeypatch, threads, sizes):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # cli imports the pool from concurrent.futures when a sweep runs in parallel
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     code, out, _ = run(capsys, SWEEP + ["--threads", threads])
     assert code == 0
@@ -357,6 +359,15 @@ def fresh_interpreter(argv):
         [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=False
     )
     return proc.returncode, proc.stdout
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a parallel sweep (--threads > 1) needs concurrent.futures.process
+    src = os.path.dirname(os.path.dirname(vermasig.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, vermasig.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_repeated_main_calls_match_fresh_interpreters(capsys):

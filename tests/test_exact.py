@@ -114,11 +114,11 @@ def test_inertia_matches_reference_on_random_symmetric_matrices():
         want = ref.inertia(a)
         if want is None:
             with pytest.raises(DomainError):
-                exact.inertia(a)
+                exact.inertia(ref.cleared(a))
             continue
-        assert exact.inertia(a) == want, a
+        assert exact.inertia(ref.cleared(a)) == want, a
         # -A negates every pivot, so the sign flip must carry through all later pivots
-        assert exact.inertia([[-x for x in row] for row in a]) == want[::-1], a
+        assert exact.inertia(ref.cleared([[-x for x in row] for row in a])) == want[::-1], a
         checked += 1
     assert checked > 150
 
@@ -133,14 +133,14 @@ def test_inertia_zero_diagonal_uses_row_column_addition():
         # a negative first pivot, then the block -[[0, 1], [1, 0]]: (1, 2)
         [[F(-1), F(1), F(0)], [F(1), F(-1), F(1)], [F(0), F(1), F(0)]],
     ):
-        assert exact.inertia(a) == ref.inertia(a)
-        assert exact.inertia([[-x for x in row] for row in a]) == ref.inertia(a)[::-1]
+        assert exact.inertia(ref.cleared(a)) == ref.inertia(a)
+        assert exact.inertia(ref.cleared([[-x for x in row] for row in a])) == ref.inertia(a)[::-1]
     rng = random.Random(5)
     for _ in range(60):
         a = random_symmetric(rng, rng.randint(2, 6), zero_diagonal=True)
         want = ref.inertia(a)
         if want is not None:
-            assert exact.inertia(a) == want
+            assert exact.inertia(ref.cleared(a)) == want
 
 
 def test_inertia_of_the_oracles_largest_grams():
@@ -155,7 +155,7 @@ def test_inertia_of_the_oracles_largest_grams():
             assert len(g) == size
             want = ref.inertia(g)
             assert exact.inertia(g) == gram.inertia == want, (lams, m)
-            assert exact.inertia(gram.entries) == want, (lams, m)
+            assert exact.inertia(ref.cleared(gram.entries)) == want, (lams, m)
 
 
 def test_inertia_rejects_non_square_and_non_symmetric_input():
@@ -168,7 +168,7 @@ def test_inertia_rejects_non_square_and_non_symmetric_input():
         [[1, 0]],
     ):
         with pytest.raises(DomainError, match="square and symmetric"):
-            exact.inertia(a)
+            exact.inertia(ref.cleared(a))
 
 
 def test_singular_input_is_detected():
@@ -179,26 +179,49 @@ def test_singular_input_is_detected():
         a = ref.matmul(half, [list(col) for col in zip(*half)])  # symmetric, rank < size
         assert ref.inertia(a) is None
         with pytest.raises(DomainError):
-            exact.inertia(a)
+            exact.inertia(ref.cleared(a))
         # the integer Gram of the same rank-deficient rows: inertia decides singularity
         cleared = [exact._integer_row(row)[1] for row in half]
         with pytest.raises(DomainError):
             exact.inertia(exact.pairing(cleared, [1] * size, cleared))
 
 
+def random_int_rows(rng, nrows, size, density):
+    """nrows integer rows of length size, each entry nonzero with probability about density."""
+    return [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(size)] for _ in range(nrows)]
+
+
+# all-zero, sparse (about the 13% of the oracle's largest kernels), half and fully dense rows
+DENSITIES = (0.0, 0.15, 0.5, 1.0)
+
+
 def test_pairing_is_the_triple_sum():
     rng = random.Random(18)
-    for _ in range(40):
+    for _ in range(160):
         rows, cols, size = rng.randint(0, 5), rng.randint(0, 5), rng.randint(1, 7)
-        # about half the entries of vectors are zero, and others differs from vectors
-        vectors = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(size)] for _ in range(rows)]
-        weights = [rng.randint(-5, 5) for _ in range(size)]
-        others = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(cols)]
+        # others differs from vectors, and about half the weights are zero
+        vectors = random_int_rows(rng, rows, size, rng.choice(DENSITIES))
+        weights = [rng.choice([0, rng.randint(-5, 5)]) for _ in range(size)]
+        others = random_int_rows(rng, cols, size, rng.choice(DENSITIES))
         want = [
             [sum(vectors[u][k] * weights[k] * others[v][k] for k in range(size)) for v in range(cols)]
             for u in range(rows)
         ]
-        assert exact.pairing(vectors, weights, others) == want
+        assert exact.pairing(vectors, weights, others) == ref.pairing(vectors, weights, others) == want
+    # no others: one empty row per vector
+    vectors, weights = [[1, 2], [0, 0]], [3, 0]
+    assert exact.pairing(vectors, weights, []) == ref.pairing(vectors, weights, []) == [[], []]
+
+
+def test_apply_is_the_dense_product():
+    rng = random.Random(19)
+    for _ in range(160):
+        size, ncols, count = rng.randint(0, 6), rng.randint(1, 7), rng.randint(0, 4)
+        dense = random_int_rows(rng, size, ncols, rng.choice(DENSITIES))
+        columns = [[(r, row[c]) for r, row in enumerate(dense) if row[c]] for c in range(ncols)]
+        vectors = random_int_rows(rng, count, ncols, rng.choice(DENSITIES))
+        want = [[sum(a * x for a, x in zip(row, u)) for row in dense] for u in vectors]
+        assert exact.apply(columns, size, vectors) == ref.raise_vectors(columns, size, vectors) == want
 
 
 def test_degenerate_form_raises_genericity_error():
@@ -275,7 +298,7 @@ def test_gaudin_gram_carries_reference_inertia():
         gram = gram_on_multiplicity(cfg.weights, cfg.m)
         assert exact_signature(gram) == ref.inertia(gram.entries), cfg
         # the stored inertia is the one a fresh elimination of the entries finds
-        assert gram.inertia == exact.inertia(gram.entries), cfg
+        assert gram.inertia == exact.inertia(ref.cleared(gram.entries)), cfg
 
 
 def basis_instances():

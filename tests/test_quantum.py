@@ -52,6 +52,9 @@ def test_qparam_validation_and_reduction():
         QParam(5, 3)
     with pytest.raises(DomainError):
         QParam(0, 3)
+    for numer, denom in ((1.5, 3), (1, 3.0), ("1", 3), (1, "3")):
+        with pytest.raises(DomainError, match="must be an integer"):
+            QParam(numer, denom)
 
 
 def test_q_int_sign_small_cases():

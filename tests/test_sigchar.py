@@ -241,8 +241,9 @@ def test_entry_rejects_levels_outside_the_depth():
     for m in (-1, 4):
         with pytest.raises(DomainError):
             dec.entry(m)
-    with pytest.raises(DomainError):
-        dec.definite_levels(1.5)
+    for bound in (1.5, -1, -5):
+        with pytest.raises(DomainError):
+            dec.definite_levels(bound)
 
 
 def test_truncated_numerator_product_is_the_full_products_slice():
