@@ -4,9 +4,16 @@ Exact signature-character arithmetic, a complete classification of definite
 multiplicity spaces, an independent Shapovalov-form oracle, quantum-group
 signature formulas at unit-circle q, and Bethe-ansatz machinery bounding and
 counting real critical points of master functions.
+
+The exact layers load no numpy.  The Bethe names (``MasterConfig``,
+``bound_check``, ...) are exported lazily (PEP 562): the first access to one
+imports ``vermasig.bethe``, and numpy with it.  They are not cached here, so
+each access reads the current binding in ``vermasig.bethe``.
 """
 
 __version__ = "0.1.0"
+
+import importlib as _importlib
 
 from .sigchar import (
     Decomposition,
@@ -52,20 +59,34 @@ from .quantum import (
     q_vandermonde_check,
     unit_normalized_hwv,
 )
-from .bethe import (
-    BoundReport,
-    CriticalPoint,
-    FalsificationError,
-    GaudinSystem,
-    MasterConfig,
-    bethe_residual,
-    bethe_vector,
-    bound_check,
-    count_real_by_spectrum,
-    find_critical_points,
-    gaudin_system,
-    master_value,
-    zy_commutator_check,
-)
+_BETHE_NAMES = frozenset({
+    "BoundReport",
+    "CriticalPoint",
+    "FalsificationError",
+    "GaudinSystem",
+    "MasterConfig",
+    "bethe_residual",
+    "bethe_vector",
+    "bound_check",
+    "count_real_by_spectrum",
+    "find_critical_points",
+    "gaudin_system",
+    "master_value",
+    "zy_commutator_check",
+})
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):
+    # import_module, not ``from . import bethe``: inside this hook the fromlist
+    # handling would call __getattr__ again and recurse without end
+    if name == "bethe" or name in _BETHE_NAMES:
+        bethe = _importlib.import_module(".bethe", __name__)
+        return bethe if name == "bethe" else getattr(bethe, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _BETHE_NAMES | {"bethe"})
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -43,7 +43,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import exact
+# peel_decompose and singular_basis are read through their modules, not bound
+# here: this module is imported on first use, and a tracer that wrapped them
+# before that would leave its wrappers in a by-name binding after it uninstalls
+from . import exact, shapovalov, sigchar
 from .sigchar import (
     DomainError,
     InvariantError,
@@ -52,14 +55,12 @@ from .sigchar import (
     ensure_int,
     fractionize,
     multiplicity_dim,
-    peel_decompose,
 )
 from .shapovalov import (
     SingularBasis,
     _check_killed,
     _norm_numerators,
     compositions,
-    singular_basis,
 )
 
 
@@ -385,7 +386,7 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     n = 3 no commutator is formed; at n = 2 (E_m is a line) only the relations run.
     """
     cfg.require_generic()
-    basis = singular_basis(cfg.weights, cfg.m)
+    basis = shapovalov.singular_basis(cfg.weights, cfg.m)
     (den, nums), kernel = basis.integral_weights, basis.integral_vectors
     dz, zeta, p = _integral_points(cfg)
     images = _images(den, nums, basis.compositions, [u for _, u in kernel], zeta, p)
@@ -579,7 +580,7 @@ class BoundReport:
 
 def bound_check(cfg: MasterConfig, seed: int = 0) -> BoundReport:
     """Signature lower bound |sgn| <= N <= dim, with N from spectrum counting."""
-    dec = peel_decompose(cfg.weights, cfg.m)
+    dec = sigchar.peel_decompose(cfg.weights, cfg.m)
     signature = dec.entry(cfg.m).signature
     n_real, witnesses = count_real_by_spectrum(cfg, seed=seed)
     report = BoundReport(cfg, cfg.dim, signature, n_real, tuple(witnesses))

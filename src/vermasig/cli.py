@@ -24,7 +24,6 @@ from .sigchar import (
 )
 from .classify import ExplicitType, classify_definite, default_level_bound, verify_type
 from .quantum import QParam, RootOfUnityError, crystal_multiplicity, multiplicity_signature
-from .bethe import FalsificationError, MasterConfig, bound_check, find_critical_points
 
 
 class UsageError(ValueError):
@@ -230,6 +229,8 @@ def _parse_sweep(expr: str) -> list[int]:
 
 def _bethe_level_row(weights, z, m, seed):
     """One sweep instance; module-level so process pools can run it."""
+    from .bethe import MasterConfig, bound_check, find_critical_points
+
     cfg = MasterConfig(tuple(z), tuple(weights), m)
     report_m = bound_check(cfg, seed=seed)
     points = find_critical_points(cfg, report_m.witnesses)
@@ -254,6 +255,9 @@ def _bethe_level_row(weights, z, m, seed):
 
 
 def _cmd_bethe(args) -> int:
+    # the one command that needs numpy, so bethe is imported here, not at load
+    from .bethe import MasterConfig
+
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
     weights = _parse_list(args.weights, _parse_rational)
@@ -291,6 +295,8 @@ def _cmd_bethe(args) -> int:
 
 
 def _bethe_level_job(job):
+    from .bethe import FalsificationError
+
     try:
         return _bethe_level_row(*job)
     except FalsificationError as exc:

@@ -10,6 +10,9 @@ A separate floating-point path builds the actual highest weight vectors and
 the coboundary-twisted form on a two-factor product to verify the closed
 form the signature formula rests on; the tests apply the coproduct raising
 operator to those vectors to check that they are highest weight vectors.
+The coboundary check itself uses cmath alone; numpy is imported only by
+``unit_normalized_hwv`` and ``QTensorState.norm``, on first call, so the exact
+signatures load no numpy.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .sigchar import DomainError, RationalLike, ensure_int, fractionize
+
+if TYPE_CHECKING:
+    import numpy
 
 
 class RootOfUnityError(ValueError):
@@ -217,9 +221,11 @@ class QTensorState:
 
     a: int
     b: int
-    coeffs: np.ndarray
+    coeffs: numpy.ndarray
 
     def norm(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.coeffs))
 
 
@@ -245,6 +251,8 @@ def unit_normalized_hwv(a: int, b: int, m: int, qp: QParam) -> QTensorState:
 
     Normalized so the v_0 x w_m coefficient is 1 (see _hwv_coefficients).
     """
+    import numpy as np
+
     u = _hwv_coefficients(a, b, m, qp)
     coeffs = np.zeros((a + 1, b + 1), dtype=complex)
     for i, value in enumerate(u):
