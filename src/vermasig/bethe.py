@@ -56,12 +56,7 @@ from .sigchar import (
     fractionize,
     multiplicity_dim,
 )
-from .shapovalov import (
-    SingularBasis,
-    _check_killed,
-    _norm_numerators,
-    compositions,
-)
+from .shapovalov import SingularBasis, compositions
 
 
 # a joint tuple, and a polished Q, is real when every imaginary part is at
@@ -87,7 +82,7 @@ class MasterConfig:
     exactness and distinctness are checked here; operations that rely on the
     multiplicity-space structure (Gaudin systems, point counting, the bound)
     require a generic tuple and check it themselves.  Numeric code reads the
-    config only through ``floats``.
+    config only through ``floats``, and integer code its z through ``integral_points``.
     """
 
     z: tuple[Fraction, ...]
@@ -131,6 +126,13 @@ class MasterConfig:
         for a in arrays:
             a.flags.writeable = False
         return arrays
+
+    @functools.cached_property
+    def integral_points(self) -> tuple[int, tuple[int, ...], int]:
+        """(Dz, zeta, P), built once per config: z = zeta / Dz, and P = lcm_{i<j} |zeta_i -
+        zeta_j| is divisible by every zeta_i - zeta_j."""
+        dz, zeta = exact._integer_row(self.z)
+        return dz, zeta, math.lcm(*[zi - zj for zi, zj in itertools.combinations(zeta, 2)])
 
 
 def _check_arrangement(cfg: MasterConfig, t: Sequence[complex]) -> np.ndarray:
@@ -332,12 +334,12 @@ def hamiltonian_matrices(cfg: MasterConfig, level: int | None = None) -> list[ex
     level (default: cfg.m).  Column c of H_i is Dz w / (2 D^2 P) for the integer image
     w of unit vector c under _images, the builder gaudin_system uses.
     """
-    comps = compositions(cfg.m if level is None else level, cfg.n)
-    (den, nums), (dz, zeta, p) = exact._integer_row(cfg.weights), _integral_points(cfg)
-    units = [[int(r == c) for r in range(len(comps))] for c in range(len(comps))]
-    big = 2 * den * den * p
+    space = shapovalov.Level(*exact._integer_row(cfg.weights), cfg.m if level is None else level)
+    (dz, zeta, p), size = cfg.integral_points, len(space.compositions)
+    units = [[int(r == c) for r in range(size)] for c in range(size)]
+    big = 2 * space.den**2 * p
     # images[i][c], the image of unit vector c, is column c of H_i times big / Dz
-    images = _images(den, nums, comps, units, zeta, p)
+    images = _images(space, units, zeta, p)
     return [[[Fraction(dz * x, big) for x in row] for row in zip(*per_i)] for per_i in images]
 
 
@@ -387,17 +389,15 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     """
     cfg.require_generic()
     basis = shapovalov.singular_basis(cfg.weights, cfg.m)
-    (den, nums), kernel = basis.integral_weights, basis.integral_vectors
-    dz, zeta, p = _integral_points(cfg)
-    images = _images(den, nums, basis.compositions, [u for _, u in kernel], zeta, p)
-    _check_killed(
-        basis, itertools.chain.from_iterable(images),
+    level, free, (scales, vectors) = basis.level, basis.free_columns, zip(*basis.integral_vectors)
+    dz, zeta, p = cfg.integral_points
+    images = _images(level, vectors, zeta, p)
+    level.check_killed(
+        itertools.chain.from_iterable(images),
         "a Gaudin Hamiltonian leaves the multiplicity space: an image is",
     )
-    restricted = tuple(
-        tuple(tuple(w[g] for g in basis.free_columns) for w in per_i) for per_i in images
-    )
-    scales = [s for s, _ in kernel]
+    restricted = tuple(tuple(tuple(w[g] for g in free) for w in per_i) for per_i in images)
+    den, nums = level.den, level.nums
     # with mu = A / D, A = sum(a) - 2mD, and C(a / D) = (2aD + a^2) / (2D^2): 2 c L
     total = sum(nums) - 2 * cfg.m * den
     casimir = p * (2 * total * den + total * total - sum(2 * a * den + a * a for a in nums))
@@ -407,31 +407,23 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     sigma = [big // s for s in scales]
     for a, b in itertools.combinations(restricted[:independent], 2):
         _check_commute(a, b, sigma)
-    vectors, norms = [u for _, u in kernel], _norm_numerators(den, nums, cfg.m)
     for per_i in images[:independent]:
-        _check_self_adjoint(exact.pairing(vectors, norms, per_i))
+        _check_self_adjoint(exact.pairing(vectors, level.norms, per_i))
     return GaudinSystem(cfg, basis, (dz, 2 * den * den * p, restricted))
 
 
-def _integral_points(cfg: MasterConfig) -> tuple[int, list[int], int]:
-    """(Dz, zeta, P): z = zeta / Dz, and P = lcm_{i<j} |zeta_i - zeta_j| is divisible by
-    every zeta_i - zeta_j."""
-    dz, zeta = exact._integer_row(cfg.z)
-    return dz, zeta, math.lcm(*[zi - zj for zi, zj in itertools.combinations(zeta, 2)])
-
-
 def _images(
-    den: int, nums: Sequence[int], comps: Sequence[tuple[int, ...]],
-    vectors: Sequence[Sequence[int]], zeta: Sequence[int], p: int,
+    level: shapovalov.Level, vectors: Sequence[Sequence[int]], zeta: Sequence[int], p: int
 ) -> list[list[list[int]]]:
     """images[i][f] = sum_{j != i} P/(zeta_i - zeta_j) 2D^2 Omega_ij u_f, once per pair i < j,
-    for integer vectors u_f over the compositions comps and lams = nums / D.
+    for integer vectors u_f over the level's compositions, lams = a / D.
 
-    2D^2 Omega_ij moves a unit from factor a to b, {a, b} = {i, j}, by 2D k (a_a - (k - 1) D)
-    with k = k_a, and scales by (a_i - 2 k_i D)(a_j - 2 k_j D).  Each pair's sparse columns
-    (per composition its diagonal term, then its moves) are applied to every vector at once.
+    2D^2 Omega_ij moves a unit from factor a to b, {a, b} = {i, j}, by 2D steps[a][k_a - 1],
+    and scales by (a_i - 2 k_i D)(a_j - 2 k_j D).  Each pair's sparse columns (per
+    composition its diagonal term, then its moves) are applied to every vector at once.
     """
-    index = {c: r for r, c in enumerate(comps)}
+    den, nums, steps = level.den, level.nums, level.steps
+    comps, index = level.compositions, level.index
     out = [[[0] * len(comps) for _ in vectors] for _ in nums]
     for i, j in itertools.combinations(range(len(nums)), 2):
         columns = []
@@ -441,7 +433,7 @@ def _images(
                 if k := comp[a]:
                     target = list(comp)
                     target[a], target[b] = k - 1, comp[b] + 1
-                    column.append((index[tuple(target)], 2 * den * k * (nums[a] - (k - 1) * den)))
+                    column.append((index[tuple(target)], 2 * den * steps[a][k - 1]))
             columns.append(column)
         # P/(zeta_j - zeta_i) = -wt: P is divisible by zeta_i - zeta_j
         wt = p // (zeta[i] - zeta[j])
@@ -480,7 +472,9 @@ def _check_self_adjoint(pair) -> None:
 
 
 def highest_vector_eigenvalue(cfg: MasterConfig, i: int) -> Fraction:
-    """Exact H_i-eigenvalue of the highest weight line (lam_i/2) sum lam_j/(z_i-z_j)."""
+    """Exact H_i-eigenvalue of the highest weight line (lam_i/2) sum lam_j/(z_i-z_j), 0 <= i < n."""
+    if (i := ensure_int(i, "i", 0)) >= cfg.n:
+        raise DomainError(f"i must be below n = {cfg.n}, got {i}")
     nums, big = _highest_numerators(cfg)
     return Fraction(nums[i], big)
 
@@ -488,7 +482,7 @@ def highest_vector_eigenvalue(cfg: MasterConfig, i: int) -> Fraction:
 def _highest_numerators(cfg: MasterConfig) -> tuple[list[int], int]:
     """([a_k Dz S_k], 2 D^2 P) with S_k = sum_{j != k} a_j P / (zeta_k - zeta_j), lams = a / D:
     numerator k over the common denominator is the highest-vector eigenvalue c_k."""
-    (den, nums), (dz, zeta, p) = exact._integer_row(cfg.weights), _integral_points(cfg)
+    (den, nums), (dz, zeta, p) = exact._integer_row(cfg.weights), cfg.integral_points
     return [
         a * dz * sum(b * (p // (zk - zj)) for b, zj in zip(nums, zeta) if zj != zk)
         for a, zk in zip(nums, zeta)
@@ -530,8 +524,10 @@ def count_real_by_spectrum(cfg: MasterConfig, seed: int = 0) -> tuple[int, list[
     Diagonalizes a random integer combination of the restricted Hamiltonians
     (exact matrix, then floating eigensolver) and reads each joint tuple off
     by Rayleigh quotients.  Real joint tuples biject with real critical
-    points.  Retries with a fresh combination on near-degenerate spectra.
+    points.  Retries with a fresh combination on near-degenerate spectra.  The int ``seed``
+    fixes the combinations, so every count can be replayed.
     """
+    seed = ensure_int(seed, "seed")
     system = gaudin_system(cfg)
     r = system.basis.dim
     ints = system.integral_matrices[2]

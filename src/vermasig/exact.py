@@ -27,10 +27,10 @@ IntRows = Sequence[Sequence[int]]
 Columns = Sequence[Sequence[tuple[int, int]]]
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _integer_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """(s, s * values) with s the lcm of the denominators, so s * values is integral."""
     scale = math.lcm(*[v.denominator for v in values])
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:

@@ -11,9 +11,10 @@ over the first part, without elimination, and is then checked exactly against
 the raising operator.  The kernel (a positive scale and an integer vector per
 free column), the norms times D^m and the Gram matrix (``exact.pairing`` of the
 kernel through the norms) are integers, and one elimination of that Gram matrix
-decides both nondegeneracy and inertia, which the GramMatrix stores.  The raising
-operator (built once per basis, which keeps it) and the product form are sparse
-integer columns and norms; their dense Fraction matrices are only the tests' reference.
+decides both nondegeneracy and inertia, which the GramMatrix stores.  Each basis keeps
+one integer ``Level``: the compositions, their index, the steps k(a_i - (k - 1)D) of
+E F^k v = k(lam - k + 1) F^(k-1) v over D, and from them the sparse raising operator and
+the norms, which every kernel check, Gram matrix and Gaudin image of the basis reads.
 No floating point anywhere in this module; it is the trust anchor for the other modules' tests.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -35,7 +37,7 @@ from .sigchar import (
 _ZERO = Fraction(0)
 
 
-# cached: a basis, its kernel check and its norms share levels; typed, so 1.0 is not served as 1
+# cached: the recursion and the levels of many bases share (m, n); typed, so 1.0 is not served as 1
 @functools.lru_cache(maxsize=256, typed=True)
 def compositions(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Compositions of m into n nonnegative parts, in colexicographic order.
@@ -53,45 +55,72 @@ def compositions(m: int, n: int) -> tuple[tuple[int, ...], ...]:
 def shapovalov_norm(lam: RationalLike, k: int) -> Fraction:
     """(F^k v, F^k v) = prod_{j=1}^{k} j*(lam - j + 1), normalized by (v, v) = 1."""
     lam, k = ensure_generic(lam), ensure_int(k, "k", 0)
-    den = lam.denominator
-    return Fraction(_norm_numerators(den, [lam.numerator], k)[0], den**k)
+    return Fraction(Level(lam.denominator, (lam.numerator,), k).norms[0], lam.denominator**k)
 
 
-def _raising_columns(den: int, nums: Sequence[int], m: int) -> tuple[int, exact.Columns]:
-    """D times the raising matrix (level m -> m - 1) for lams = nums / D: its row count, and
-    one sparse column per level-m composition k of (row, entry) pairs, mapping k to
-    k_i*(lam_i - k_i + 1) times k with k_i decremented."""
-    n = len(nums)
-    index = {c: r for r, c in enumerate(compositions(m - 1, n))} if m >= 1 else {}
-    return len(index), [
-        [(index[comp[:i] + (k - 1,) + comp[i + 1 :]], k * (nums[i] - (k - 1) * den))
-         for i, k in enumerate(comp) if k]
-        for comp in compositions(m, n)
-    ]
+@dataclass(frozen=True)
+class Level:
+    """The level-m weight space of the product of Vermas with weights nums / D, on integers;
+    each table is built on first use."""
 
+    den: int
+    nums: tuple[int, ...]
+    m: int
 
-def _check_killed(basis: SingularBasis, vectors, what: str) -> None:
-    """Raise InvariantError unless D times the basis's raising operator kills each integer
-    level-m vector; ``what`` names the vectors."""
-    size, columns = basis.raising
-    if any(map(any, exact.apply(columns, size, vectors))):
-        raise InvariantError(f"{what} not killed by the raising operator: arithmetic bug")
+    @functools.cached_property
+    def compositions(self) -> tuple[tuple[int, ...], ...]:
+        return compositions(self.m, len(self.nums))
+
+    @functools.cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {c: r for r, c in enumerate(self.compositions)}
+
+    @functools.cached_property
+    def steps(self) -> list[list[int]]:
+        """steps[i][k - 1] = k(a_i - (k - 1)D), k = 1..m: D E F^k v_i over F^(k-1) v_i."""
+        return [[k * (a - (k - 1) * self.den) for k in range(1, self.m + 1)] for a in self.nums]
+
+    @functools.cached_property
+    def raising(self) -> tuple[int, exact.Columns]:
+        """D times the raising operator into level m - 1: its row count, and per composition
+        k the sparse column of (k with k_i decremented, steps[i][k_i - 1]) over k_i > 0."""
+        steps, index = self.steps, Level(self.den, self.nums, self.m - 1).index if self.m else {}
+        return len(index), [
+            [(index[comp[:i] + (k - 1,) + comp[i + 1 :]], steps[i][k - 1])
+             for i, k in enumerate(comp) if k]
+            for comp in self.compositions
+        ]
+
+    @functools.cached_property
+    def norms(self) -> list[int]:
+        """D^m times the product form's diagonal: per k, prod_i of steps[i][:k_i]."""
+        running = [list(itertools.accumulate(row, operator.mul, initial=1)) for row in self.steps]
+        return [math.prod(r[k] for r, k in zip(running, comp)) for comp in self.compositions]
+
+    def check_killed(self, vectors, what: str) -> None:
+        """Raise InvariantError unless the raising operator kills each vector, named ``what``."""
+        size, columns = self.raising
+        if any(map(any, exact.apply(columns, size, vectors))):
+            raise InvariantError(f"{what} not killed by the raising operator: arithmetic bug")
 
 
 @dataclass(frozen=True)
 class SingularBasis:
     """Exact basis of the weight-(lam - 2m) vectors killed by the raising operator."""
 
-    lams: tuple[Fraction, ...]
-    m: int
-    compositions: tuple[tuple[int, ...], ...]
-    # (D, D * lams) and per vector v its canonical (s, s * v), s > 0 least; vector f is 1
-    # at free_columns[f], 0 at every other free column; vectors decodes them on first read
-    integral_weights: tuple[int, tuple[int, ...]] = field(compare=False, repr=False)
+    level: Level  # the cleared weights and m, whose tables every reader of the basis shares
+    # per vector v its canonical (s, s * v), s > 0 least; vector f is 1 at free_columns[f],
+    # 0 at every other free column; vectors decodes them on first read
     integral_vectors: tuple[tuple[int, tuple[int, ...]], ...]
-    free_columns: tuple[int, ...] = field(compare=False, repr=False)
-    # _raising_columns(D, D * lams, m), built once per basis for every kernel check on it
-    raising: tuple[int, exact.Columns] = field(compare=False, repr=False)
+
+    @property
+    def lams(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.level.den) for a in self.level.nums)
+
+    @property
+    def free_columns(self) -> tuple[int, ...]:
+        """The compositions with k_1 = 0, where the kernel vectors are free."""
+        return tuple(c for c, comp in enumerate(self.level.compositions) if not comp[0])
 
     @property
     def dim(self) -> int:
@@ -107,20 +136,14 @@ def singular_basis(lams: Sequence[RationalLike], m: int) -> SingularBasis:
     lams = tuple(ensure_generic(l) for l in lams)
     if len(lams) < 2:
         raise DomainError("need at least two tensor factors")
-    m = ensure_int(m, "level", 0)
-    comps = compositions(m, len(lams))
-    den, nums = exact._integer_row(lams)
-    free, kernel = _kernel(den, nums, m)
-    raising = _raising_columns(den, nums, m)
-    basis = SingularBasis(lams, m, comps, (den, tuple(nums)), tuple(kernel), tuple(free), raising)
-    _check_killed(basis, [u for _, u in kernel], "a singular vector is")
-    return basis
+    level = Level(*exact._integer_row(lams), ensure_int(m, "level", 0))
+    kernel = _kernel(level)
+    level.check_killed([u for _, u in kernel], "a singular vector is")
+    return SingularBasis(level, tuple(kernel))
 
 
-def _kernel(
-    den: int, nums: Sequence[int], m: int
-) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
-    """The free columns and each kernel vector v of the raising operator as (s, s * v).
+def _kernel(level: Level) -> list[tuple[int, tuple[int, ...]]]:
+    """Each kernel vector v of the raising operator as (s, s * v).
 
     Equation j (a level-(m - 1) composition) of E v = 0 holds one unknown with first
     part j_1 + 1, and its coefficient (j_1 + 1)(lam_1 - j_1) is nonzero for generic
@@ -135,22 +158,19 @@ def _kernel(
     visited in an order that reaches d - e_i before d.  M_1(m) v =
     y M_1(m) / M_1(k_1) is divided by its gcd, so s > 0 is the least scale.
     """
-    comps = compositions(m, len(nums))
-    index = {c: r for r, c in enumerate(comps)}
-    # coef[i][t] = (t + 1)(a_i - tD), the entry of D E at a part i equal to t + 1
-    coef = [[(t + 1) * (a - t * den) for t in range(m)] for a in nums]
+    m, comps, index, steps = level.m, level.compositions, level.index, level.steps
     tail = [1] * (m + 1)  # tail[t] = M_1(m) / M_1(t)
     for t in range(m - 1, -1, -1):
-        tail[t] = tail[t + 1] * coef[0][t]
+        tail[t] = tail[t + 1] * steps[0][t]
     sign = 1 if tail[0] > 0 else -1  # so that s = tail[0] / (gcd * sign) > 0
-    free, kernel = [], []
-    for col, f in enumerate(comps):
+    kernel = []
+    for f in comps:
         if f[0]:
             continue
         rest = f[1:]
         # y[pos] at the flat position of d = rest - k in the box d <= rest, last part fastest
         strides = [math.prod(x + 1 for x in rest[i + 1 :]) for i in range(len(rest))]
-        parts = list(zip(coef[1:], rest, strides))
+        parts = list(zip(steps[1:], rest, strides))
         y, cols, vals = [], [], []
         for krest in itertools.product(*[range(x, -1, -1) for x in rest]):
             pos = len(y)
@@ -166,9 +186,8 @@ def _kernel(
         vec = [0] * len(comps)
         for c, v in zip(cols, vals):
             vec[c] = v // g
-        free.append(col)
         kernel.append((tail[0] // g, tuple(vec)))
-    return free, kernel
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -194,29 +213,17 @@ class GramMatrix:
         )
 
 
-def _norm_numerators(den: int, nums: Sequence[int], m: int) -> list[int]:
-    """D^m times the diagonal of the product form on the level-m compositions, lams = nums / D."""
-    table = []
-    for a in nums:
-        row = [1]
-        for j in range(1, m + 1):
-            row.append(row[-1] * j * (a - (j - 1) * den))
-        table.append(row)
-    return [math.prod(row[k] for row, k in zip(table, comp)) for comp in compositions(m, len(nums))]
-
-
 def gram_on_multiplicity(lams: Sequence[RationalLike], m: int) -> GramMatrix:
     """Gram matrix of the induced form on the level-m multiplicity space: the integer
     pairing of the kernel vectors through the norms, with its inertia from one elimination."""
     basis = singular_basis(lams, m)
-    (den, nums), kernel = basis.integral_weights, basis.integral_vectors
-    vectors = [u for _, u in kernel]
-    g = exact.pairing(vectors, _norm_numerators(den, nums, basis.m), vectors)
+    scales, vectors = zip(*basis.integral_vectors)
+    g = exact.pairing(vectors, basis.level.norms, vectors)
     try:
         inertia = exact.inertia(g)
     except DomainError:
         raise GenericityError("induced form is degenerate; weights not generic") from None
-    return GramMatrix((den**basis.m, tuple(s for s, _ in kernel), tuple(map(tuple, g))), inertia)
+    return GramMatrix((basis.level.den**basis.level.m, scales, tuple(map(tuple, g))), inertia)
 
 
 def exact_signature(gram: GramMatrix) -> tuple[int, int]:

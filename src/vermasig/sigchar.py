@@ -186,7 +186,7 @@ class Decomposition:
     entries: tuple[DecompositionEntry, ...]
 
     def entry(self, m: int) -> DecompositionEntry:
-        if not 0 <= m < len(self.entries):
+        if not 0 <= (m := ensure_int(m, "level")) < len(self.entries):
             raise DomainError(f"level {m} outside 0..{len(self.entries) - 1}")
         return self.entries[m]
 

@@ -219,8 +219,8 @@ def check_every_hamiltonian(system) -> None:
     mats = [np.array(v, dtype=object).reshape(len(scales), len(scales)) for v in system.integral_matrices[2]]
     for a, b in itertools.combinations(mats, 2):
         assert ((a * sigma) @ b == (b * sigma) @ a).all()
-    d = basis.integral_weights[0] ** basis.m
-    norms = [d * x for x in fraction_reference.weight_space_norms(basis.lams, basis.compositions)]
+    d = basis.level.den ** basis.level.m
+    norms = [d * x for x in fraction_reference.weight_space_norms(basis.lams, basis.level.compositions)]
     assert all(x.denominator == 1 for x in norms)
     kernel = np.array([u for _, u in basis.integral_vectors], dtype=object)
     gram = (kernel * np.array([int(x) for x in norms], dtype=object)) @ kernel.T

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import warnings
@@ -160,20 +161,47 @@ def test_gaudin_system_builds_no_gram_matrix(monkeypatch):
     assert len(witnesses) == 35 and n_real <= 35
 
 
+def counted_builds(monkeypatch, cls, name) -> list:
+    """Replace the cached property ``cls.name`` by one that lists each instance it builds for."""
+    real, calls = vars(cls)[name].func, []
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return calls
+
+
 def test_gaudin_system_builds_the_raising_operator_once(monkeypatch):
     # the basis's kernel check and the images' invariance check share one raising operator
-    calls = []
-    real = shapovalov._raising_columns
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(shapovalov, "_raising_columns", counted)
+    real = shapovalov.Level.raising.func
+    calls = counted_builds(monkeypatch, shapovalov.Level, "raising")
     cfg = MasterConfig((F(0), F(1), F(3), F(7, 2)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 3)
     system = gaudin_system(cfg)
-    assert len(calls) == 1
-    assert system.basis.raising == real(*calls[0])
+    level = system.basis.level
+    assert len(calls) == 1 and calls[0] is level
+    assert level.raising == real(shapovalov.Level(level.den, level.nums, level.m))
+
+
+def test_each_basis_indexes_its_level_and_each_config_clears_its_points_once(monkeypatch):
+    # the kernel, its check and the Gaudin images read one index of the basis's level;
+    # the float view, the restriction and the highest-vector eigenvalues one integer view of z
+    indexed = counted_builds(monkeypatch, shapovalov.Level, "index")
+    cleared = counted_builds(monkeypatch, MasterConfig, "integral_points")
+    cfg = MasterConfig((F(0), F(1), F(3), F(7, 2)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 3)
+    _, witnesses = count_real_by_spectrum(cfg)
+    assert len(find_critical_points(cfg, witnesses)) == cfg.dim
+    assert float(highest_vector_eigenvalue(cfg, 3)) == cfg.floats[2][3]
+    assert cleared == [cfg]
+    # level m once, and level m - 1 once, for the rows of the one raising operator
+    level, below = indexed
+    assert (level.m, below) == (cfg.m, shapovalov.Level(level.den, level.nums, cfg.m - 1))
+    indexed.clear()
+    gram_on_multiplicity(cfg.weights, cfg.m)
+    assert indexed == [level, below]
 
 
 def test_gaudin_system_stores_integers_and_decodes_matrices_on_read():
@@ -478,6 +506,44 @@ def test_find_critical_points_rejects_another_configs_witnesses():
     assert other.dim == len(witnesses)
     with pytest.raises(DomainError):
         find_critical_points(other, witnesses)
+
+
+def test_highest_vector_eigenvalue_rejects_a_factor_outside_0_to_n():
+    cfg = MasterConfig((F(0), F(1), F(3)), (F(-1, 2), F(-3, 4), F(-7, 5)), 2)
+    assert highest_vector_eigenvalue(cfg, 2) == F(91, 240)
+    # -1 would read the last factor's eigenvalue, 3 and 1.5 would fail on the list index
+    for i in (-1, 3, 1.5):
+        with pytest.raises(DomainError):
+            highest_vector_eigenvalue(cfg, i)
+
+
+def test_spectrum_count_rejects_a_seed_that_cannot_be_replayed():
+    cfg = MasterConfig((F(0), F(1), F(3)), (F(-1, 2), F(-3, 4), F(-7, 5)), 2)
+    # None would draw from OS entropy, 1.5 would be hashed
+    for seed in (None, 1.5):
+        with pytest.raises(DomainError):
+            count_real_by_spectrum(cfg, seed=seed)
+        with pytest.raises(DomainError):
+            bound_check(cfg, seed=seed)
+
+
+def test_degenerate_spectrum_takes_every_retry_then_raises(monkeypatch):
+    cfg = MasterConfig((F(0), F(1), F(3)), (F(-1, 2), F(-3, 4), F(-7, 5)), 2)
+    draws, real_eig = [], np.linalg.eig
+
+    def doubled(mat):
+        draws.append(np.array(mat))
+        evals, evecs = real_eig(mat)
+        evals[1] = evals[0]
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eig", doubled)
+    with pytest.raises(RuntimeError, match="stayed degenerate") as error:
+        count_real_by_spectrum(cfg, seed=5)
+    # a fresh combination per draw, and the config and the last gap in the message
+    assert len(draws) == bethe.SPECTRUM_RETRIES
+    assert len({d.tobytes() for d in draws}) == bethe.SPECTRUM_RETRIES
+    assert f"config {cfg}" in str(error.value) and "(last gap 0.0)" in str(error.value)
 
 
 def test_float_view_is_built_once_and_read_only():

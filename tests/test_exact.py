@@ -266,8 +266,8 @@ def test_oracle_matches_reference_on_criterion2_instances():
         comps = compositions(m, len(lams))
         emat = ref.raising_matrix(basis.lams, comps, compositions(m - 1, len(lams)))
         # the integer raising columns and norms the oracle uses, decoded
-        den, nums = basis.integral_weights
-        size, columns = shapovalov._raising_columns(den, nums, m)
+        den = basis.level.den
+        size, columns = basis.level.raising
         dense = [[F(0)] * len(comps) for _ in range(size)]
         for c, column in enumerate(columns):
             for row, x in column:
@@ -276,7 +276,7 @@ def test_oracle_matches_reference_on_criterion2_instances():
         want = ref.nullspace(emat, len(comps))
         assert [list(v) for v in basis.vectors] == want, (lams, m)
         diag = ref.weight_space_norms(basis.lams, comps)
-        norms = shapovalov._norm_numerators(den, nums, m)
+        norms = basis.level.norms
         assert [F(x, den**m) for x in norms] == diag, (lams, m)
         want_gram = ref.gram(want, diag)
         assert [list(row) for row in gram.entries] == want_gram, (lams, m)

@@ -43,7 +43,7 @@ def doubled_images(*args):
 def shifted_images(*args):
     """A kernel vector added to an image of H_1 and taken from the same image of H_2:
     still killed, and sum_i H_i = 0 holds, but sum_i z_i H_i is off."""
-    out, u = IMAGES(*args), args[3][0]
+    out, u = IMAGES(*args), args[1][0]
     out[0][0] = [x + y for x, y in zip(out[0][0], u)]
     out[1][0] = [x - y for x, y in zip(out[1][0], u)]
     return out
@@ -54,10 +54,10 @@ BASIS_ARGS = ((F(23, 10), F(17, 10), F(-2, 5)), 2)
 
 def corrupted_kernel(*args):
     """singular_basis's kernel with one entry of the first vector pushed off the kernel."""
-    free, kernel = KERNEL(*args)
+    kernel = KERNEL(*args)
     s, u = kernel[0]
     kernel[0] = (s, (u[0] + 1,) + u[1:])
-    return free, kernel
+    return kernel
 
 PEEL_ARGS = ([F(7, 2), F(-1, 3)], 6)
 NUMERATOR_PRODUCT = sigchar._numerator_product
@@ -121,10 +121,10 @@ def test_invariant_violations_raise_under_optimize():
         "    print('self-adjoint raised')",
         "kernel = shapovalov._kernel",
         "def corrupted_kernel(*args):",
-        "    free, vectors = kernel(*args)",
+        "    vectors = kernel(*args)",
         "    s, u = vectors[0]",
         "    vectors[0] = (s, (u[0] + 1,) + u[1:])",
-        "    return free, vectors",
+        "    return vectors",
         "shapovalov._kernel = corrupted_kernel",
         "try:",
         f"    shapovalov.singular_basis(*{BASIS_ARGS!r})",
@@ -137,7 +137,7 @@ def test_invariant_violations_raise_under_optimize():
         "    out[0][0] = [2 * x for x in out[0][0]]",
         "    return out",
         "def shifted_images(*args):",
-        "    out, u = images(*args), args[3][0]",
+        "    out, u = images(*args), args[1][0]",
         "    out[0][0] = [x + y for x, y in zip(out[0][0], u)]",
         "    out[1][0] = [x - y for x, y in zip(out[1][0], u)]",
         "    return out",

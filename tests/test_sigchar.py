@@ -238,7 +238,7 @@ def test_peel_rejects_negative_depth():
 def test_entry_rejects_levels_outside_the_depth():
     dec = peel_decompose(["-1/2", "-3/4"], 3)
     assert [dec.entry(m).level for m in range(4)] == [0, 1, 2, 3]
-    for m in (-1, 4):
+    for m in (-1, 4, 1.5):
         with pytest.raises(DomainError):
             dec.entry(m)
     for bound in (1.5, -1, -5):
