@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-# peel_decompose and singular_basis are read through their modules, not bound
+# peel_decompose and basis_of are read through their modules, not bound
 # here: this module is imported on first use, and a tracer that wrapped them
 # before that would leave its wrappers in a by-name binding after it uninstalls
 from . import exact, shapovalov, sigchar
@@ -82,7 +82,8 @@ class MasterConfig:
     exactness and distinctness are checked here; operations that rely on the
     multiplicity-space structure (Gaudin systems, point counting, the bound)
     require a generic tuple and check it themselves.  Numeric code reads the
-    config only through ``floats``, and integer code its z through ``integral_points``.
+    config only through ``floats``, and integer code its weights and z through
+    ``integral_weights`` and ``integral_points``.
     """
 
     z: tuple[Fraction, ...]
@@ -126,6 +127,11 @@ class MasterConfig:
         for a in arrays:
             a.flags.writeable = False
         return arrays
+
+    @functools.cached_property
+    def integral_weights(self) -> tuple[int, tuple[int, ...]]:
+        """(D, a), built once per config: weights = a / D."""
+        return exact._integer_row(self.weights)
 
     @functools.cached_property
     def integral_points(self) -> tuple[int, tuple[int, ...], int]:
@@ -334,7 +340,7 @@ def hamiltonian_matrices(cfg: MasterConfig, level: int | None = None) -> list[ex
     level (default: cfg.m).  Column c of H_i is Dz w / (2 D^2 P) for the integer image
     w of unit vector c under _images, the builder gaudin_system uses.
     """
-    space = shapovalov.Level(*exact._integer_row(cfg.weights), cfg.m if level is None else level)
+    space = shapovalov.Level(*cfg.integral_weights, cfg.m if level is None else level)
     (dz, zeta, p), size = cfg.integral_points, len(space.compositions)
     units = [[int(r == c) for r in range(size)] for c in range(size)]
     big = 2 * space.den**2 * p
@@ -388,7 +394,7 @@ def gaudin_system(cfg: MasterConfig) -> GaudinSystem:
     n = 3 no commutator is formed; at n = 2 (E_m is a line) only the relations run.
     """
     cfg.require_generic()
-    basis = shapovalov.singular_basis(cfg.weights, cfg.m)
+    basis = shapovalov.basis_of(shapovalov.Level(*cfg.integral_weights, cfg.m))
     level, free, (scales, vectors) = basis.level, basis.free_columns, zip(*basis.integral_vectors)
     dz, zeta, p = cfg.integral_points
     images = _images(level, vectors, zeta, p)
@@ -482,7 +488,7 @@ def highest_vector_eigenvalue(cfg: MasterConfig, i: int) -> Fraction:
 def _highest_numerators(cfg: MasterConfig) -> tuple[list[int], int]:
     """([a_k Dz S_k], 2 D^2 P) with S_k = sum_{j != k} a_j P / (zeta_k - zeta_j), lams = a / D:
     numerator k over the common denominator is the highest-vector eigenvalue c_k."""
-    (den, nums), (dz, zeta, p) = exact._integer_row(cfg.weights), cfg.integral_points
+    (den, nums), (dz, zeta, p) = cfg.integral_weights, cfg.integral_points
     return [
         a * dz * sum(b * (p // (zk - zj)) for b, zj in zip(nums, zeta) if zj != zk)
         for a, zk in zip(nums, zeta)

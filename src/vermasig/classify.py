@@ -215,6 +215,7 @@ def representative_weights(
 ) -> tuple[Fraction, ...]:
     """Random generic weights realizing the explicit type, sorted descending."""
     rng = rng or random.Random(0)
+    denominator = ensure_int(denominator, "denominator", 2)
     n = t.n
     carry = t.total_floor - sum(t.factor_floors)
     lo = max(carry * denominator + 1, n)
@@ -256,10 +257,10 @@ def verify_type(
 
 def explicit_type_of(lams: Sequence[RationalLike]) -> ExplicitType:
     """Explicit type of a generic weight tuple (factors sorted descending)."""
-    lams = sorted(ensure_generic_tuple(lams), reverse=True)
+    lams, total = ensure_generic_tuple(lams)
     return ExplicitType(
-        total_floor=math.floor(sum(lams)),
-        factor_floors=tuple(math.floor(l) for l in lams),
+        total_floor=math.floor(total),
+        factor_floors=tuple(math.floor(l) for l in sorted(lams, reverse=True)),
     )
 
 

@@ -164,7 +164,7 @@ def _cmd_quantum(args) -> int:
             raise UsageError("--q1 needs --weights and --max-level")
         if args.max_level < 0:
             raise UsageError("--max-level must be nonnegative")
-        weights = ensure_generic_tuple(_parse_list(args.weights, _parse_rational))
+        weights, _ = ensure_generic_tuple(_parse_list(args.weights, _parse_rational))
         rows = [
             {
                 "m": m,

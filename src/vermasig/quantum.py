@@ -4,8 +4,9 @@ Signs of quantum integers [y] = sin(y*pi*t)/sin(pi*t) at q = e^{i*pi*t}, t = p/D
 are computed by integer arithmetic on y*den*p mod 2*den*D for y with
 denominator den, so the combinatorial signature formula is exact: for tensor
 products of the (a+1)-dimensional simple modules, and at q = 1 with rational
-arguments for Verma-module multiplicity signatures.  One kernel signs every
-binomial, at q = 1 and at generic q, from its top's floor and remainder.
+arguments for Verma-module multiplicity signatures.  One kernel signs a product
+of binomials (one, or a transfer step's three) from their tops' floors and
+remainders, at q = 1 by counting negative factors and at generic q by brackets.
 A separate floating-point path builds the actual highest weight vectors and
 the coboundary-twisted form on a two-factor product to verify the closed
 form the signature formula rests on; the tests apply the coproduct raising
@@ -80,19 +81,29 @@ def q_int_sign(j: int, qp: QParam) -> int:
     return _bracket_sign(ensure_int(j, "j"), 1, qp)
 
 
-def _binomial_sign(floor: int, rem: int, bottom: int, den: int, qp: QParam | None) -> int:
-    # sign of (top choose bottom)_q for top = floor + rem/den with 0 <= rem < den;
-    # 0 iff top is an integer in [0, bottom)
-    if not rem and 0 <= floor < bottom:
-        return 0
+def _binomial_sign(bottom: int, tops: Sequence[tuple], den: int, qp: QParam | None) -> int:
+    # sign of the product over tops = floor + rem/den, each given as (floor, rem) with
+    # 0 <= rem < den, of (top choose bottom)_q; 0 once a top is an integer in [0, bottom),
+    # and the tops after it are never evaluated, so they cannot raise
     if qp is None:
-        # q = 1: one flip per factor top - i with i > top
-        return -1 if (bottom - min(bottom, max(0, floor + 1))) % 2 else 1
+        # q = 1: one flip per negative factor top - i, 0 <= i < bottom
+        flips = 0
+        for floor, rem in tops:
+            if floor < 0:
+                flips += bottom
+            elif floor < bottom:
+                if not rem:
+                    return 0
+                flips += bottom - 1 - floor
+        return -1 if flips % 2 else 1
     # generic q: the product of the signs of [top - j + 1] / [j], in units of 1/den
-    y = floor * den + rem
     sign = 1
-    for j in range(1, bottom + 1):
-        sign *= _bracket_sign(y - (j - 1) * den, den, qp) * _bracket_sign(j, 1, qp)
+    for floor, rem in tops:
+        if not rem and 0 <= floor < bottom:
+            return 0
+        y = floor * den + rem
+        for j in range(1, bottom + 1):
+            sign *= _bracket_sign(y - (j - 1) * den, den, qp) * _bracket_sign(j, 1, qp)
     return sign
 
 
@@ -105,8 +116,7 @@ def q_binomial_sign(top, bottom: int, qp: QParam | None = None) -> int:
     for rational y (the Verma-weight extension of the integer case).
     """
     bottom, top = ensure_int(bottom, "bottom index", 0), fractionize(top)
-    floor, rem = divmod(top.numerator, top.denominator)
-    return _binomial_sign(floor, rem, bottom, top.denominator, qp)
+    return _binomial_sign(bottom, (divmod(top.numerator, top.denominator),), top.denominator, qp)
 
 
 def multiplicity_signature(
@@ -149,22 +159,16 @@ def multiplicity_signature(
     prefix_cuts = [divmod(v, d) for v in itertools.accumulate(scaled, initial=0)]
     weight_cuts = [divmod(v, d) for v in scaled]
 
-    def step_sign(j: int, lo: int, hi: int) -> int:
-        # a binomial after a vanishing one is never evaluated, so it cannot raise
-        (f1, r1), (f2, r2), (f3, r3) = prefix_cuts[j + 1], prefix_cuts[j], weight_cuts[j]
-        k = hi - lo
-        sign = _binomial_sign(f1 + 1 - lo - hi, r1, k, d, qp)
-        sign = sign and sign * _binomial_sign(f2 - 2 * lo, r2, k, d, qp)
-        return sign and sign * _binomial_sign(f3, r3, k, d, qp)
-
     # live prefix sums -> summed terms of the prefixes ending there
     states = {0: 1}
     for j in range(1, n):
+        (f1, r1), (f2, r2), weight = prefix_cuts[j + 1], prefix_cuts[j], weight_cuts[j]
         reached: dict[int, int] = {}
         for lo, total in states.items():
+            low = (f2 - 2 * lo, r2)
             for hi in range(lo, m + 1) if j < n - 1 else (m,):
-                sign = step_sign(j, lo, hi) if hi > lo else 1
-                if sign:
+                tops = ((f1 + 1 - lo - hi, r1), low, weight)
+                if sign := _binomial_sign(hi - lo, tops, d, qp) if hi > lo else 1:
                     reached[hi] = reached.get(hi, 0) + sign * total
         states = reached
     return states.get(m, 0)

@@ -136,7 +136,11 @@ def singular_basis(lams: Sequence[RationalLike], m: int) -> SingularBasis:
     lams = tuple(ensure_generic(l) for l in lams)
     if len(lams) < 2:
         raise DomainError("need at least two tensor factors")
-    level = Level(*exact._integer_row(lams), ensure_int(m, "level", 0))
+    return basis_of(Level(*exact._integer_row(lams), ensure_int(m, "level", 0)))
+
+
+def basis_of(level: Level) -> SingularBasis:
+    """The singular basis of a level of generic weights, its kernel checked exactly."""
     kernel = _kernel(level)
     level.check_killed([u for _, u in kernel], "a singular vector is")
     return SingularBasis(level, tuple(kernel))

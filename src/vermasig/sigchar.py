@@ -17,6 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -206,61 +207,60 @@ def multiplicity_dim(n: int, m: int) -> int:
     return math.comb(m + n - 2, n - 2)
 
 
-def ensure_generic_tuple(lams: Iterable[RationalLike]) -> list[Fraction]:
-    """At least two weights, each of them and their sum generic, as Fractions."""
+def ensure_generic_tuple(lams: Iterable[RationalLike]) -> tuple[list[Fraction], Fraction]:
+    """At least two generic weights with a generic sum: the weights and the sum, as Fractions."""
     out = [ensure_generic(l) for l in lams]
     if len(out) < 2:
         raise DomainError("need at least two tensor factors")
-    ensure_generic(sum(out), "total weight")
-    return out
+    return out, ensure_generic(sum(out), "total weight")
 
 
-def _numerator_product(lams: Sequence[Fraction], depth: int | None = None) -> list[SCoeff]:
-    """Coefficients of prod_i N_{lam_i} up to x^depth (all of them for None), where
-    N_lam = (1 - s x) ch(M_lam) is 1 for lam < 0 and 1 + (1 - s)(x + ... + x^ceil(lam))
-    for lam > 0.  As (1 - s)(p + s t) = (p - t)(1 - s), only coefficients with p != t
-    spread; those past depth are cut after each factor."""
+def _numerator_product(lams: Sequence[Fraction], depth: int | None = None) -> tuple[list, list]:
+    """(plain, twisted), coefficient k of prod_i N_{lam_i} being plain[k] + s*twisted[k], up to
+    x^depth (all of them for None), where N_lam = (1 - s x) ch(M_lam) is 1 for lam < 0 and
+    1 + (1 - s)(x + ... + x^ceil(lam)) for lam > 0.  As (1 - s)(p + s t) = (p - t)(1 - s),
+    a factor adds to coefficient k, and takes from its t, the sum of p - t over k - ceil(lam)
+    .. k - 1: a difference of two running sums.  Coefficients past depth are cut."""
     plain, twisted = [1], [0]
     for lam in lams:
-        width = max(0, math.ceil(lam))
-        diffs = [p - t for p, t in zip(plain, twisted)]
-        plain, twisted = plain + [0] * width, twisted + [0] * width
-        for i, d in enumerate(diffs):
-            for k in range(i + 1, i + width + 1) if d else ():
-                plain[k] += d
-                twisted[k] -= d
-        if depth is not None:
-            del plain[depth + 1 :], twisted[depth + 1 :]
-    return [SCoeff(p, t) for p, t in zip(plain, twisted)]
+        if (width := math.ceil(lam)) <= 0:
+            continue
+        size = len(plain) + width if depth is None else min(len(plain) + width, depth + 1)
+        pad = [0] * (size - len(plain))
+        plain, twisted = plain + pad, twisted + pad
+        sums = [0] * width + list(accumulate(map(operator.sub, plain, twisted), initial=0))
+        windows = list(map(operator.sub, sums[width:], sums))
+        plain = list(map(operator.add, plain, windows))
+        twisted = list(map(operator.sub, twisted, windows))
+    return plain, twisted
 
 
 def peel_decompose(lams: Sequence[RationalLike], depth: int) -> Decomposition:
     """Decompose prod_i ch(M_{lam_i}) as sum_m (pos + s*neg) ch(M_{lam-2m}).
 
     In x = e^{-2} the c_m = pos + s*neg solve sum_m c_m x^m N_{lam-2m} =
-    prod_i N_{lam_i} / (1 - s x)^(n-1) (see ``_numerator_product``): the
-    numerator divided n - 1 times by (1 - s x), each a running sum
-    y_k = r_k + s*y_{k-1}.  As N_{lam-2m'} adds (1 - s) c_{m'} to levels
+    prod_i N_{lam_i} / (1 - s x)^(n-1) (see ``_numerator_product``).  With each
+    coefficient k times s^k (plain and twisted swapped at odd k), a division by
+    (1 - s x) is a running sum.  As N_{lam-2m'} adds (1 - s) c_{m'} to levels
     m' + 1 .. ceil(lam) - m', c_m is that series' coefficient less (1 - s)
     times the summed pos - neg of the levels m' < m with m' <= ceil(lam) - m.
     Dimension and nonnegativity of every entry are hard internal checks: a
     failure means an arithmetic bug, not bad input.
     """
-    lams = ensure_generic_tuple(lams)
+    lams, total = ensure_generic_tuple(lams)
     depth = ensure_int(depth, "depth", 0)
     n = len(lams)
-    total = sum(lams)
-    series = _numerator_product(lams, depth)
-    plain, twisted = map(list, zip(*series, *[(0, 0)] * (depth + 1 - len(series))))
+    plain, twisted = (c + [0] * (depth + 1 - len(c)) for c in _numerator_product(lams, depth))
+    plain[1::2], twisted[1::2] = twisted[1::2], plain[1::2]
     for _ in range(n - 1):
-        for k in range(1, depth + 1):
-            plain[k], twisted[k] = plain[k] + twisted[k - 1], twisted[k] + plain[k - 1]
+        plain, twisted = list(accumulate(plain)), list(accumulate(twisted))
+    plain[1::2], twisted[1::2] = twisted[1::2], plain[1::2]
     top = math.ceil(total)
     signatures = [0]  # signatures[i]: summed pos - neg of the levels below i
     entries = []
-    for m in range(depth + 1):
+    for m, (p, t) in enumerate(zip(plain, twisted)):
         correction = signatures[max(0, min(m, top + 1 - m))]
-        pos, neg = plain[m] - correction, twisted[m] + correction
+        pos, neg = p - correction, t + correction
         expected = multiplicity_dim(n, m)
         if not (pos >= 0 and neg >= 0 and pos + neg == expected):
             raise InvariantError(
@@ -294,11 +294,11 @@ def asymptotic_signature(lams: Sequence[RationalLike], m: int) -> int:
     sufficiently large m; callers locate the threshold by comparing against
     peel_decompose.
     """
-    lams, m = ensure_generic_tuple(lams), ensure_int(m, "level", 0)
+    lams, m = ensure_generic_tuple(lams)[0], ensure_int(m, "level", 0)
     n = len(lams)
     total = 0
-    for i, c in enumerate(_numerator_product(lams)):
-        total += _binom_poly(m + n - 2 - i, n - 2) * (-1) ** i * c.at_minus_one()
+    for i, (p, t) in enumerate(zip(*_numerator_product(lams))):
+        total += _binom_poly(m + n - 2 - i, n - 2) * (-1) ** i * (p - t)
     return (-1) ** m * total
 
 

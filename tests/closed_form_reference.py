@@ -203,9 +203,8 @@ def greedy_peel(lams, depth: int) -> Decomposition:
     coefficient of ch(M_{lam-2m}), so subtracting its shifted multiple zeroes
     level m exactly.
     """
-    lams = ensure_generic_tuple(lams)
+    lams, total = ensure_generic_tuple(lams)
     n = len(lams)
-    total = sum(lams)
     product = reduce(multiply, (verma_character(l, depth) for l in lams))
     rem = list(product.coeffs)
     entries = []

@@ -179,6 +179,25 @@ def test_representative_weights_realize_type():
     # with denominator 2 every fractional part is 1/2, and five of them carry 2, not 0
     with pytest.raises(DomainError):
         representative_weights(ExplicitType(0, (0, 0, 0, 0, 0)), rng, denominator=2)
+    # a float denominator, or one below 2, is refused before any draw
+    state = rng.getstate()
+    for bad in (2.5, 1009.0, 1):
+        with pytest.raises(DomainError, match="denominator"):
+            representative_weights(ExplicitType(1, (0, 0, -1)), rng, denominator=bad)
+    assert rng.getstate() == state
+
+
+def test_representative_weights_draws_are_pinned():
+    # the benchmark's digests and every seeded check rest on these draws
+    rng = random.Random(7)
+    assert [
+        representative_weights(t, rng)
+        for t in (ExplicitType(1, (0, 0, -1)), ExplicitType(-6, (2, -3, -3, -4)))
+    ] == [
+        (F(955, 1009), F(488, 1009), F(-102, 1009)),
+        (F(2859, 1009), F(-2478, 1009), F(-2930, 1009), F(-3430, 1009)),
+    ]
+    assert rng.random() == 0.5827880059033551
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,23 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+# the four exact README commands, and the file holding each one's --json report
+README_EXACT = (
+    ("decompose.json", "decompose --weights -1/2,-1/2 --max-level 6"),
+    ("classify.json", "classify --type 4,1,1,1,1 --verify"),
+    ("quantum_a.json", "quantum --a 2,2 --t 1/23 --all-levels"),
+    ("quantum_q1.json", "quantum --q1 --weights 23/10,17/10,-2/5 --max-level 8"),
+)
+
+
+@pytest.mark.parametrize("golden, command", README_EXACT)
+def test_readme_exact_commands_print_the_golden_reports(capsys, golden, command):
+    code, out, _ = run(capsys, command.split() + ["--json"])
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+        assert (code, out) == (0, fh.read())
+
+
 def test_decompose_case1_table(capsys):
     code, out, _ = run(capsys, ["decompose", "--weights", "-1/2,-1/2", "--max-level", "3"])
     assert code == 0

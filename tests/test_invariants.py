@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from vermasig import (
-    InvariantError, MasterConfig, SCoeff, bethe, gaudin_system, peel_decompose, shapovalov, sigchar,
+    InvariantError, MasterConfig, bethe, gaudin_system, peel_decompose, shapovalov, sigchar,
     singular_basis,
 )
 from vermasig.bethe import _check_commute, _check_self_adjoint
@@ -65,9 +65,9 @@ NUMERATOR_PRODUCT = sigchar._numerator_product
 
 def corrupted_numerator_product(lams, depth=None):
     """peel_decompose's numerator with one coefficient off by one."""
-    out = NUMERATOR_PRODUCT(lams, depth)
-    out[1] = SCoeff(out[1].plain + 1, out[1].twisted)
-    return out
+    plain, twisted = NUMERATOR_PRODUCT(lams, depth)
+    plain[1] += 1
+    return plain, twisted
 
 
 def test_invariant_violations_raise(monkeypatch):
@@ -100,7 +100,7 @@ def test_invariant_violations_raise(monkeypatch):
 def test_invariant_violations_raise_under_optimize():
     program = "\n".join([
         "from fractions import Fraction",
-        "from vermasig import InvariantError, MasterConfig, SCoeff, bethe, gaudin_system, peel_decompose, shapovalov, sigchar",
+        "from vermasig import InvariantError, MasterConfig, bethe, gaudin_system, peel_decompose, shapovalov, sigchar",
         "from vermasig.bethe import _check_commute, _check_self_adjoint",
         "from vermasig.classify import _merge",
         "assert False, 'asserts must be stripped under -O'",
@@ -157,9 +157,9 @@ def test_invariant_violations_raise_under_optimize():
         "        print(name + ' raised' if message in str(error) else error)",
         "numerator_product = sigchar._numerator_product",
         "def corrupted(lams, depth=None):",
-        "    out = numerator_product(lams, depth)",
-        "    out[1] = SCoeff(out[1].plain + 1, out[1].twisted)",
-        "    return out",
+        "    plain, twisted = numerator_product(lams, depth)",
+        "    plain[1] += 1",
+        "    return plain, twisted",
         "sigchar._numerator_product = corrupted",
         "try:",
         f"    peel_decompose(*{PEEL_ARGS!r})",

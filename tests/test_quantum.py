@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -357,6 +358,27 @@ def test_formula_matches_composition_sum_on_unit_circle_classes():
                 a = random_split(rng, total, n)
                 for m in range(total // 2 + 1):
                     assert multiplicity_signature(a, m, qp) == composition_sum(a, m, qp), (a, m, qp)
+
+
+def test_q1_step_signs_match_composition_sum_on_a_grid_of_vanishing_binomials():
+    # at q = 1 a step sign counts the negative factors of its three binomials, and is 0
+    # when an integral top lies in [0, k): integral prefix sums A_j (1/2 + 1/2, 1/3 - 4/3),
+    # integral weights of both signs (0 and 2 choose k vanish) and negative integral totals
+    values = (-3, -1, 0, 2, F(-1, 2), F(1, 2), F(1, 3), F(-4, 3))
+    rng = random.Random(24)
+    grids = {2: itertools.product(values, repeat=2)}
+    for n, count in ((3, 150), (4, 60), (5, 30)):
+        grids[n] = [rng.choices(values, k=n) for _ in range(count)]
+    kinds = set()
+    for n, grid in grids.items():
+        for weights in grid:
+            prefix = list(itertools.accumulate(weights))
+            kinds.add((n, any(F(x).denominator == 1 for x in prefix[:-1]),
+                       F(prefix[-1]).denominator == 1 and prefix[-1] < 0))
+            for m in range(9):
+                assert multiplicity_signature(weights, m) == composition_sum(weights, m), (weights, m)
+    # every n meets integral prefix sums, and negative integral totals, with and without
+    assert len(kinds) == 4 * 2 * 2
 
 
 def test_formula_matches_composition_sum_on_large_cases():

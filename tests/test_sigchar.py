@@ -217,7 +217,15 @@ def test_peel_matches_greedy_on_criterion1_sample():
 
 @pytest.mark.parametrize(
     "lams, depth",
-    [([F(-7, 3), F(11, 5), F(-1, 2), F(17, 7)], 200), ([F(9, 2), F(-3), F(5, 3), F(-13, 7)], 400)],
+    [
+        ([F(-7, 3), F(11, 5), F(-1, 2), F(17, 7)], 200),
+        ([F(9, 2), F(-3), F(5, 3), F(-13, 7)], 400),
+        # depth 0, and windows ceil(lam) wider than the depth: the numerator is cut short
+        ([F(23, 2), F(-1, 3)], 0),
+        ([F(1, 2), F(1, 3), F(-7, 5)], 0),
+        ([F(23, 2), F(7, 3), F(-5, 2)], 3),
+        ([F(-1, 2), F(-1, 3), F(-7, 5)], 5),
+    ],
 )
 def test_peel_matches_greedy_at_depth(lams, depth):
     assert peel_decompose(lams, depth) == greedy_peel(lams, depth)
@@ -256,5 +264,6 @@ def test_truncated_numerator_product_is_the_full_products_slice():
     for lams in tuples:
         full = sigchar._numerator_product(lams)
         for depth in range(13):
-            assert sigchar._numerator_product(lams, depth) == full[: depth + 1], (lams, depth)
+            cut = tuple(c[: depth + 1] for c in full)
+            assert sigchar._numerator_product(lams, depth) == cut, (lams, depth)
             assert peel_decompose(lams, depth) == greedy_peel(lams, depth), (lams, depth)
