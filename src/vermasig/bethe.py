@@ -131,13 +131,13 @@ class MasterConfig:
     @functools.cached_property
     def integral_weights(self) -> tuple[int, tuple[int, ...]]:
         """(D, a), built once per config: weights = a / D."""
-        return exact._integer_row(self.weights)
+        return exact.integer_row(self.weights)
 
     @functools.cached_property
     def integral_points(self) -> tuple[int, tuple[int, ...], int]:
         """(Dz, zeta, P), built once per config: z = zeta / Dz, and P = lcm_{i<j} |zeta_i -
         zeta_j| is divisible by every zeta_i - zeta_j."""
-        dz, zeta = exact._integer_row(self.z)
+        dz, zeta = exact.integer_row(self.z)
         return dz, zeta, math.lcm(*[zi - zj for zi, zj in itertools.combinations(zeta, 2)])
 
 

@@ -24,6 +24,7 @@ from .sigchar import (
     ensure_generic_tuple,
     ensure_int,
     fractionize,
+    is_generic,
     peel_decompose,
 )
 
@@ -101,9 +102,8 @@ def two_factor_sign(x1: RationalLike, x2: RationalLike, k: int) -> int:
     x2 = _ensure_nonintegral(fractionize(x2), "x2")
     if not x1 > x2:
         raise DomainError(f"need x1 > x2, got {x1} <= {x2}")
-    s = x1 + x2
-    if s.denominator == 1 and s >= 0:
-        raise DomainError(f"x1 + x2 = {s} is a nonnegative integer (not generic)")
+    if not is_generic(x1 + x2):
+        raise DomainError(f"x1 + x2 = {x1 + x2} is a nonnegative integer (not generic)")
     return multiplicity_signature((x1, x2), ensure_int(k, "level k", 0))
 
 
@@ -161,7 +161,7 @@ def classify_definite(t: ExplicitType, level_bound: int | None = None) -> Defini
     Cases, dispatched in order:
       all weights negative          -> every level definite, sign (-1)^m;
       two factors                   -> every level definite, sign from
-                                       two_factor_sign on representatives;
+                                       two_factor_sign on fixed representatives;
       one positive (n >= 3)         -> alternating signs on levels 0 through
                                        max(0, ceil(lam/2));
       2 <= p <= n-2 (n >= 4)        -> only level 0, positive;
@@ -179,9 +179,10 @@ def classify_definite(t: ExplicitType, level_bound: int | None = None) -> Defini
     if p == 0:
         _merge(levels, [(m, -1 if m % 2 else 1) for m in range(bound + 1)])
     elif n == 2:
-        # any fractional parts consistent with the floor data give the same
-        # signs: the n = 2 formula reads only the floors of x1, x2 and x1 + x2
-        x1, x2 = representative_weights(t)
+        # the n = 2 formula reads only the floors of x1 > x2 and x1 + x2, so fixed
+        # fractional parts with the type's carry c = floor(x1 + x2) - f1 - f2 decide it
+        (f1, f2), c = t.factor_floors, total - sum(t.factor_floors)
+        x1, x2 = f1 + Fraction(2 + c, 4), f2 + Fraction(1 + c, 4)
         _merge(levels, [(m, two_factor_sign(x1, x2, m)) for m in range(bound + 1)])
     elif p == 1:
         # ceil(lam/2) = floor(total_floor/2) + 1 for non-integral lam; the
@@ -209,13 +210,11 @@ def classify_definite(t: ExplicitType, level_bound: int | None = None) -> Defini
 
 
 def representative_weights(
-    t: ExplicitType,
-    rng: random.Random | None = None,
-    denominator: int = _FRAC_DENOMINATOR,
+    t: ExplicitType, rng: random.Random | None = None
 ) -> tuple[Fraction, ...]:
     """Random generic weights realizing the explicit type, sorted descending."""
     rng = rng or random.Random(0)
-    denominator = ensure_int(denominator, "denominator", 2)
+    denominator = _FRAC_DENOMINATOR
     n = t.n
     carry = t.total_floor - sum(t.factor_floors)
     lo = max(carry * denominator + 1, n)
@@ -239,20 +238,15 @@ def representative_weights(
     return tuple(lams)
 
 
-def definite_levels_of(lams: Sequence[RationalLike], bound: int) -> tuple[tuple[int, int], ...]:
-    """Definite (level, sign) pairs extracted from exact character peeling."""
-    return peel_decompose(lams, bound).definite_levels(bound)
-
-
 def verify_type(
     t: ExplicitType,
     level_bound: int | None = None,
     rng: random.Random | None = None,
 ) -> bool:
     """Check the classified definite set against the peeling oracle."""
-    bound = default_level_bound(t) if level_bound is None else level_bound
-    lams = representative_weights(t, rng)
-    return definite_levels_of(lams, bound) == classify_definite(t, bound).entries
+    report = classify_definite(t, level_bound)
+    lams, bound = representative_weights(t, rng), report.complete_up_to
+    return peel_decompose(lams, bound).definite_levels(bound) == report.entries
 
 
 def explicit_type_of(lams: Sequence[RationalLike]) -> ExplicitType:
@@ -266,6 +260,9 @@ def explicit_type_of(lams: Sequence[RationalLike]) -> ExplicitType:
 
 def consistent_types(n: int, floor_min: int, floor_max: int) -> Iterator[ExplicitType]:
     """All explicit types with the given factor count and floor range."""
+    n, floor_min = ensure_int(n, "n", 2), ensure_int(floor_min, "floor_min")
+    floor_max = ensure_int(floor_max, "floor_max")
+
     def descending_tuples(length: int, top: int) -> Iterator[tuple[int, ...]]:
         if length == 0:
             yield ()
@@ -274,7 +271,5 @@ def consistent_types(n: int, floor_min: int, floor_max: int) -> Iterator[Explici
             for rest in descending_tuples(length - 1, f):
                 yield (f,) + rest
 
-    for floors in descending_tuples(n, floor_max):
-        base = sum(floors)
-        for total in range(base, base + n):
-            yield ExplicitType(total, floors)
+    return (ExplicitType(total, floors) for floors in descending_tuples(n, floor_max)
+            for total in range(sum(floors), sum(floors) + n))

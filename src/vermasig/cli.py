@@ -22,7 +22,7 @@ from . import __version__
 from .sigchar import (
     DomainError, GenericityError, ensure_generic_tuple, multiplicity_dim, peel_decompose,
 )
-from .classify import ExplicitType, classify_definite, default_level_bound, verify_type
+from .classify import ExplicitType, classify_definite, verify_type
 from .quantum import QParam, RootOfUnityError, crystal_multiplicity, multiplicity_signature
 
 
@@ -49,10 +49,6 @@ def _parse_list(text: str, parse_item) -> list:
     if not items:
         raise UsageError("empty list")
     return [parse_item(s) for s in items]
-
-
-def _rat_str(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def _emit(args, command: str, config: dict, rows: list[dict], columns: list[str], **fields) -> None:
@@ -118,7 +114,7 @@ def _cmd_decompose(args) -> int:
                 "definite": e.is_definite,
             }
         )
-    config = {"weights": [_rat_str(w) for w in weights], "max_level": args.max_level}
+    config = {"weights": [str(w) for w in weights], "max_level": args.max_level}
     _emit(args, "decompose", config, rows, ["m", "pos", "neg", "sgn", "dim", "definite"])
     return 0
 
@@ -126,15 +122,13 @@ def _cmd_decompose(args) -> int:
 def _cmd_classify(args) -> int:
     if args.type is not None:
         values = _parse_list(args.type, _parse_int)
-        if len(values) < 3:
-            raise UsageError("--type needs a total floor plus at least two factor floors")
         etype = ExplicitType(values[0], tuple(values[1:]))
     else:
         from .classify import explicit_type_of
 
         etype = explicit_type_of(_parse_list(args.weights, _parse_rational))
-    bound = args.bound if args.bound is not None else default_level_bound(etype)
-    report_obj = classify_definite(etype, bound)
+    report_obj = classify_definite(etype, args.bound)
+    bound = report_obj.complete_up_to  # --bound, or the type's default
     rows = [{"level": lv, "sign": s} for lv, s in report_obj.entries]
     config = {
         "total_floor": etype.total_floor,
@@ -142,7 +136,7 @@ def _cmd_classify(args) -> int:
         "bound": bound,
         "seed": args.seed,
     }
-    fields = {"complete_up_to": report_obj.complete_up_to}
+    fields = {"complete_up_to": bound}
     if args.verify:
         fields["verified"] = verify_type(etype, bound, random.Random(args.seed))
     _emit(args, "classify", config, rows, ["level", "sign"], **fields)
@@ -175,7 +169,7 @@ def _cmd_quantum(args) -> int:
         ]
         config = {
             "mode": "q1",
-            "weights": [_rat_str(w) for w in weights],
+            "weights": [str(w) for w in weights],
             "max_level": args.max_level,
         }
         columns = ["m", "sgn", "dim"]
@@ -199,13 +193,13 @@ def _cmd_quantum(args) -> int:
             {
                 "a": "+".join(str(x) for x in a),
                 "m": m,
-                "t": _rat_str(t),
+                "t": str(t),
                 "sgn": multiplicity_signature(a, m, qp),
                 "dim": crystal_multiplicity(a, m),
             }
             for m in levels
         ]
-        config = {"mode": "generic", "a": a, "t": _rat_str(t), "levels": levels}
+        config = {"mode": "generic", "a": a, "t": str(t), "levels": levels}
         columns = ["a", "m", "t", "sgn", "dim"]
     _emit(args, "quantum", config, rows, columns)
     return 0
@@ -227,12 +221,17 @@ def _parse_sweep(expr: str) -> list[int]:
         raise UsageError(f"bad --sweep {expr!r}: {exc}") from None
 
 
-def _bethe_level_row(weights, z, m, seed):
-    """One sweep instance; module-level so process pools can run it."""
-    from .bethe import MasterConfig, bound_check, find_critical_points
+def _bethe_level_job(job):
+    """One sweep instance: its row, or the message of the FalsificationError that
+    ``bound_check`` raised.  Module-level so process pools can run it."""
+    from .bethe import FalsificationError, MasterConfig, bound_check, find_critical_points
 
+    weights, z, m, seed = job
     cfg = MasterConfig(tuple(z), tuple(weights), m)
-    report_m = bound_check(cfg, seed=seed)
+    try:
+        report_m = bound_check(cfg, seed=seed)
+    except FalsificationError as exc:
+        return str(exc)
     points = find_critical_points(cfg, report_m.witnesses)
     return {
         "m": m,
@@ -283,8 +282,8 @@ def _cmd_bethe(args) -> int:
         else:
             rows.append(outcome)
     config = {
-        "weights": [_rat_str(w) for w in weights],
-        "z": [_rat_str(v) for v in z],
+        "weights": [str(w) for w in weights],
+        "z": [str(v) for v in z],
         "levels": levels,
         "seed": args.seed,
     }
@@ -292,15 +291,6 @@ def _cmd_bethe(args) -> int:
     cols = ["m", "dim", "abs_sgn", "n_real", "n_roots_found", "n_roots_real"]
     _emit(args, "bethe", config, rows, cols)
     return 1 if failures else 0
-
-
-def _bethe_level_job(job):
-    from .bethe import FalsificationError
-
-    try:
-        return _bethe_level_row(*job)
-    except FalsificationError as exc:
-        return str(exc)
 
 
 def build_parser() -> argparse.ArgumentParser:

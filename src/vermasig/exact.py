@@ -27,7 +27,7 @@ IntRows = Sequence[Sequence[int]]
 Columns = Sequence[Sequence[tuple[int, int]]]
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+def integer_row(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """(s, s * values) with s the lcm of the denominators, so s * values is integral."""
     scale = math.lcm(*[v.denominator for v in values])
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
@@ -72,7 +72,7 @@ def express_in_basis(
     """
     r, k = len(basis), len(targets)
     rows = [
-        _integer_row([b[c] for b in basis] + [t[c] for t in targets])[1]
+        integer_row([b[c] for b in basis] + [t[c] for t in targets])[1]
         for c in range(len(basis[0]))
     ]
     if _gauss_jordan(rows, r + k) != list(range(r)):

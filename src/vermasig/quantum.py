@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
+from .exact import integer_row
 from .sigchar import DomainError, RationalLike, ensure_int, fractionize
 
 if TYPE_CHECKING:
@@ -152,10 +153,9 @@ def multiplicity_signature(
     if n < 2:
         raise DomainError("need at least two tensor factors")
     m = ensure_int(m, "level", 0)
-    if qp is not None and all(x.denominator == 1 for x in a) and any(x < 0 for x in a):
+    d, scaled = integer_row(a)
+    if qp is not None and d == 1 and any(x < 0 for x in scaled):
         raise DomainError("generic-q integer mode needs nonnegative weights")
-    d = math.lcm(*[x.denominator for x in a])
-    scaled = [x.numerator * (d // x.denominator) for x in a]
     prefix_cuts = [divmod(v, d) for v in itertools.accumulate(scaled, initial=0)]
     weight_cuts = [divmod(v, d) for v in scaled]
 
@@ -233,14 +233,20 @@ class QTensorState:
         return float(np.linalg.norm(self.coeffs))
 
 
+def _two_factor_level(a: int, b: int, m: int) -> tuple[int, int, int]:
+    """(a, b, m) as ints, m a level of V_a x V_b: 0 <= m <= min(a, b), else DomainError."""
+    a, b, m = ensure_int(a, "a"), ensure_int(b, "b"), ensure_int(m, "level")
+    if not 0 <= m <= min(a, b):
+        raise DomainError(f"need 0 <= m <= min(a, b), got m={m}")
+    return a, b, m
+
+
 def _hwv_coefficients(a: int, b: int, m: int, qp: QParam) -> list[complex]:
     """v_i x w_{m-i} coefficients, i = 0..m, of the unit-normalized highest weight vector.
 
     The i-th is (-1)^i q^{ai-i^2+i} (b-m+i choose i)_q / (a choose i)_q.
     """
-    a, b, m = ensure_int(a, "a"), ensure_int(b, "b"), ensure_int(m, "level")
-    if not 0 <= m <= min(a, b):
-        raise DomainError(f"need 0 <= m <= min(a, b), got m={m}")
+    a, b, m = _two_factor_level(a, b, m)
     return [
         (-1) ** i
         * qp.power(a * i - i * i + i)
@@ -294,6 +300,7 @@ def coboundary_norm(a: int, b: int, m: int, qp: QParam) -> complex:
 
 def closed_form_norm(a: int, b: int, m: int, qp: QParam) -> float:
     """(u, u) = (b choose m)_q / (a choose m)_q * (a+b+1-m choose m)_q."""
+    a, b, m = _two_factor_level(a, b, m)
     return (
         q_binomial_value(b, m, qp)
         / q_binomial_value(a, m, qp)
@@ -301,8 +308,8 @@ def closed_form_norm(a: int, b: int, m: int, qp: QParam) -> float:
     )
 
 
-def q_vandermonde_check(a: int, b: int, m: int, qp: QParam, rtol: float = 1e-10) -> bool:
-    """Convolution identity the closed form rests on, checked numerically."""
+def q_vandermonde_check(a: int, b: int, m: int, qp: QParam) -> bool:
+    """Convolution identity the closed form rests on, checked numerically to a relative 1e-10."""
     lhs = qp.power(b * m - m * m + m) * sum(
         qp.power(-(a + b + 2 - 2 * m) * i)
         * q_binomial_value(m - b - 1, i, qp)
@@ -310,4 +317,4 @@ def q_vandermonde_check(a: int, b: int, m: int, qp: QParam, rtol: float = 1e-10)
         for i in range(m + 1)
     )
     rhs = q_binomial_value(2 * m - a - b - 2, m, qp)
-    return abs(lhs - rhs) <= rtol * max(1.0, abs(rhs))
+    return abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))

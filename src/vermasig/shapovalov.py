@@ -31,7 +31,8 @@ from typing import Sequence
 from . import exact
 from .exact import express_in_basis  # express_in_basis is part of this module's API
 from .sigchar import (
-    DomainError, GenericityError, InvariantError, RationalLike, ensure_generic, ensure_int,
+    DomainError, GenericityError, InvariantError, RationalLike, ensure_generic,
+    ensure_generic_tuple, ensure_int,
 )
 
 _ZERO = Fraction(0)
@@ -84,7 +85,8 @@ class Level:
     def raising(self) -> tuple[int, exact.Columns]:
         """D times the raising operator into level m - 1: its row count, and per composition
         k the sparse column of (k with k_i decremented, steps[i][k_i - 1]) over k_i > 0."""
-        steps, index = self.steps, Level(self.den, self.nums, self.m - 1).index if self.m else {}
+        below = compositions(self.m - 1, len(self.nums)) if self.m else ()
+        steps, index = self.steps, {c: r for r, c in enumerate(below)}
         return len(index), [
             [(index[comp[:i] + (k - 1,) + comp[i + 1 :]], steps[i][k - 1])
              for i, k in enumerate(comp) if k]
@@ -133,10 +135,8 @@ class SingularBasis:
 
 
 def singular_basis(lams: Sequence[RationalLike], m: int) -> SingularBasis:
-    lams = tuple(ensure_generic(l) for l in lams)
-    if len(lams) < 2:
-        raise DomainError("need at least two tensor factors")
-    return basis_of(Level(*exact._integer_row(lams), ensure_int(m, "level", 0)))
+    lams = ensure_generic_tuple(lams)[0]
+    return basis_of(Level(*exact.integer_row(lams), ensure_int(m, "level", 0)))
 
 
 def basis_of(level: Level) -> SingularBasis:

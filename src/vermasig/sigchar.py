@@ -81,10 +81,6 @@ class SCoeff(NamedTuple):
         c, d = other
         return SCoeff(a * c + b * d, a * d + b * c)
 
-    def at_minus_one(self) -> int:
-        """Evaluate at s = -1 (the signature of the weight space)."""
-        return self.plain - self.twisted
-
 
 _ONE = SCoeff(1, 0)
 _S = SCoeff(0, 1)
@@ -136,15 +132,7 @@ def multiply(x: SignatureSeries, y: SignatureSeries) -> SignatureSeries:
     """Convolution product; output truncated at min(x.depth, y.depth)."""
     depth = min(x.depth, y.depth)
     xs, ys = x.coeffs, y.coeffs
-    out = []
-    for k in range(depth + 1):
-        plain = twisted = 0
-        for i in range(k + 1):
-            a, b = xs[i]
-            c, d = ys[k - i]
-            plain += a * c + b * d
-            twisted += a * d + b * c
-        out.append(SCoeff(plain, twisted))
+    out = (sum((xs[i] * ys[k - i] for i in range(k + 1)), SCoeff(0, 0)) for k in range(depth + 1))
     return SignatureSeries(x.base + y.base, tuple(out))
 
 

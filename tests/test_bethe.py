@@ -187,27 +187,28 @@ def test_gaudin_system_builds_the_raising_operator_once(monkeypatch):
 
 
 def test_each_basis_indexes_its_level_and_each_config_clears_its_points_once(monkeypatch):
-    # the kernel, its check and the Gaudin images read one index of the basis's level;
+    # the kernel and the Gaudin images read one index of the basis's level, and the raising
+    # operator indexes level m - 1 from its compositions, with no second Level;
     # the float view, the restriction, the basis and the highest-vector eigenvalues one
     # integer view of z and one of the weights
     indexed = counted_builds(monkeypatch, shapovalov.Level, "index")
     cleared = counted_builds(monkeypatch, MasterConfig, "integral_points")
     weighed = counted_builds(monkeypatch, MasterConfig, "integral_weights")
-    clear, rows = exact._integer_row, []
-    monkeypatch.setattr(exact, "_integer_row", lambda values: rows.append(values) or clear(values))
+    clear, rows = exact.integer_row, []
+    monkeypatch.setattr(exact, "integer_row", lambda values: rows.append(values) or clear(values))
     cfg = MasterConfig((F(0), F(1), F(3), F(7, 2)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 3)
     _, witnesses = count_real_by_spectrum(cfg)
     assert len(find_critical_points(cfg, witnesses)) == cfg.dim
     assert float(highest_vector_eigenvalue(cfg, 3)) == cfg.floats[2][3]
-    # level m once, and level m - 1 once, for the rows of the one raising operator
-    level, below = indexed
+    # level m once
+    (level,) = indexed
     hamiltonian_matrices(cfg)
     assert cleared == weighed == [cfg]
     assert len(rows) == 2 and rows.count(cfg.weights) == rows.count(cfg.z) == 1
-    assert (level.m, below) == (cfg.m, shapovalov.Level(level.den, level.nums, cfg.m - 1))
+    assert level.m == cfg.m
     indexed.clear()
     gram_on_multiplicity(cfg.weights, cfg.m)
-    assert indexed == [level, below]
+    assert indexed == [level]
 
 
 def test_gaudin_system_stores_integers_and_decodes_matrices_on_read():

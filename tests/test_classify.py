@@ -13,12 +13,8 @@ from vermasig import (
     two_factor_sign,
     verify_type,
 )
-from vermasig.classify import (
-    consistent_types,
-    default_level_bound,
-    definite_levels_of,
-    representative_weights,
-)
+from vermasig import classify
+from vermasig.classify import consistent_types, default_level_bound, representative_weights
 
 from closed_form_reference import two_factor_piecewise
 
@@ -176,14 +172,11 @@ def test_representative_weights_realize_type():
         for _ in range(5):
             lams = representative_weights(t, rng)
             assert explicit_type_of(lams) == t
-    # with denominator 2 every fractional part is 1/2, and five of them carry 2, not 0
-    with pytest.raises(DomainError):
-        representative_weights(ExplicitType(0, (0, 0, 0, 0, 0)), rng, denominator=2)
-    # a float denominator, or one below 2, is refused before any draw
+    # 1,009 fractional parts of at least 1/1009 sum to at least 1, so a carry of 0 has
+    # no representative; it is refused before any draw
     state = rng.getstate()
-    for bad in (2.5, 1009.0, 1):
-        with pytest.raises(DomainError, match="denominator"):
-            representative_weights(ExplicitType(1, (0, 0, -1)), rng, denominator=bad)
+    with pytest.raises(DomainError, match="denominator 1009"):
+        representative_weights(ExplicitType(-1009, (-1,) * 1009), rng)
     assert rng.getstate() == state
 
 
@@ -231,6 +224,38 @@ def test_n2_all_levels_definite():
         assert verify_type(t, bound, rng)
 
 
+def test_n2_reads_fixed_representatives_and_draws_nothing(monkeypatch):
+    # the floors decide n = 2: classify_definite draws no random weights there
+    def no_draw(*args):
+        raise AssertionError("classify_definite drew representative weights")
+
+    monkeypatch.setattr(classify, "representative_weights", no_draw)
+    rep = classify_definite(ExplicitType(1, (2, -2)), 12)
+    assert rep.entries == ((0, 1), (1, -1)) + tuple((m, 1 if m % 2 else -1) for m in range(2, 13))
+    for t in consistent_types(2, -8, 8):
+        if t.p:  # both weights negative is the p = 0 branch
+            assert len(classify_definite(t, 4).entries) == 5
+
+
+def test_n2_signs_equal_the_formula_on_random_representatives():
+    # the random weights of the verification route are the independent reference
+    for seed in (0, 1, 2):
+        rng = random.Random(seed)
+        for t in consistent_types(2, -8, 8):
+            x1, x2 = representative_weights(t, rng)
+            for bound in (3, default_level_bound(t)):
+                want = tuple((m, two_factor_sign(x1, x2, m)) for m in range(bound + 1))
+                assert classify_definite(t, bound).entries == want, (t, seed)
+
+
+def test_consistent_types_refuses_bad_arguments_on_call():
+    # these once recursed until RecursionError, or raised a raw TypeError
+    for args in ((-1, 0, 1), (2.5, 0, 1), (1, 0, 1), (2, 0.5, 1), (2, 0, 0.5), (2, F(0), 1)):
+        with pytest.raises(DomainError):
+            consistent_types(*args)
+    assert len(list(consistent_types(np.int64(2), -1, 1))) == 12
+
+
 def test_exhaustive_small_floors():
     rng = random.Random(6)
     for n in (3, 4):
@@ -245,6 +270,6 @@ def test_definiteness_absent_beyond_claimed(tmp_path):
     t = ExplicitType(2, (1, 1, -1))
     bound = default_level_bound(t)
     lams = representative_weights(t, rng)
-    got = dict(definite_levels_of(lams, bound))
+    got = dict(peel_decompose(lams, bound).definite_levels(bound))
     claimed = classify_definite(t, bound).as_dict()
     assert got == claimed

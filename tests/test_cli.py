@@ -25,9 +25,11 @@ README_EXACT = (
     ("quantum_a.json", "quantum --a 2,2 --t 1/23 --all-levels"),
     ("quantum_q1.json", "quantum --q1 --weights 23/10,17/10,-2/5 --max-level 8"),
 )
+# the n = 2 branch of classify, pinned beside them
+GOLDEN_N2 = (("classify_n2.json", "classify --type 1,2,-2 --bound 12 --verify"),)
 
 
-@pytest.mark.parametrize("golden, command", README_EXACT)
+@pytest.mark.parametrize("golden, command", README_EXACT + GOLDEN_N2)
 def test_readme_exact_commands_print_the_golden_reports(capsys, golden, command):
     code, out, _ = run(capsys, command.split() + ["--json"])
     with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
@@ -58,6 +60,14 @@ def test_decompose_malformed_rational(capsys):
     code, _, err = run(capsys, ["decompose", "--weights", "1/x,-1/2", "--max-level", "2"])
     assert code == 2
     assert "malformed" in err
+
+
+@pytest.mark.parametrize("floors", ["5", "1,2"])
+def test_classify_type_needs_two_factor_floors(capsys, floors):
+    # ExplicitType alone holds the two-factor rule; the command reports its message
+    code, out, err = run(capsys, ["classify", "--type", floors])
+    assert (code, out) == (2, "")
+    assert "need at least two tensor factors" in err
 
 
 def test_decompose_nongeneric_reports_constraint(capsys):

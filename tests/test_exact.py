@@ -57,7 +57,7 @@ def random_symmetric(rng, size, zero_diagonal=False):
 def rational_kernel(mat, ncols):
     """The integer reference kernel of the cleared rows of a rational matrix, as rational vectors."""
     out = []
-    free, kernel = ref.integer_nullspace([exact._integer_row(row)[1] for row in mat], ncols)
+    free, kernel = ref.integer_nullspace([exact.integer_row(row)[1] for row in mat], ncols)
     assert len(free) == len(kernel)
     for f, (scale, vec) in zip(free, kernel):
         rational = [F(x, scale) for x in vec]
@@ -181,7 +181,7 @@ def test_singular_input_is_detected():
         with pytest.raises(DomainError):
             exact.inertia(ref.cleared(a))
         # the integer Gram of the same rank-deficient rows: inertia decides singularity
-        cleared = [exact._integer_row(row)[1] for row in half]
+        cleared = [exact.integer_row(row)[1] for row in half]
         with pytest.raises(DomainError):
             exact.inertia(exact.pairing(cleared, [1] * size, cleared))
 

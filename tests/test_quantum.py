@@ -240,6 +240,16 @@ def test_hwv_small_case():
             call()
 
 
+def test_both_sides_of_the_norm_identity_refuse_the_same_levels():
+    # closed_form_norm(2, 2, 3) once raised ZeroDivisionError where coboundary_norm refused
+    qp = QParam(1, 23)
+    for a, b, m in ((2, 2, 3), (2, 2, -1), (1, 3, 2), (3, 1, 2), (2.5, 2, 1), (2, 2, 1.0)):
+        for norm in (coboundary_norm, closed_form_norm):
+            with pytest.raises(DomainError):
+                norm(a, b, m, qp)
+    assert abs(coboundary_norm(3, 2, 2, qp) - closed_form_norm(3, 2, 2, qp)) < 1e-12
+
+
 def raising_action(state: QTensorState, qp: QParam) -> np.ndarray:
     """Coproduct raising operator E x 1 + K x E applied to a two-factor state."""
     a, b, c = state.a, state.b, state.coeffs

@@ -201,3 +201,13 @@ def test_oracle_equivalence_with_peeling():
 def test_degenerate_weights_detected():
     with pytest.raises(GenericityError):
         singular_basis((F(1), F(-1, 2)), 2)
+
+
+def test_oracle_refuses_a_non_generic_total_like_peeling():
+    # each weight is generic but the total 1 is not; the oracle once answered a 1x1 Gram
+    for lams in ((F(1, 2), F(1, 2)), (F(3, 2), F(-1, 2), F(-1, 3), F(1, 3))):
+        for call in (peel_decompose, singular_basis, gram_on_multiplicity):
+            with pytest.raises(GenericityError, match="total weight"):
+                call(lams, 1)
+    with pytest.raises(DomainError, match="two tensor factors"):
+        singular_basis((F(-1, 2),), 1)
