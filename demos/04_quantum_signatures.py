@@ -9,7 +9,7 @@ from vermasig import (
     closed_form_norm,
     coboundary_norm,
     crystal_multiplicity,
-    multiplicity_signature,
+    multiplicity_signatures,
     peel_decompose,
     q_int_sign,
 )
@@ -22,7 +22,7 @@ print("\nSignatures of V_3 x V_3 multiplicity spaces drift as t grows:")
 print("  m:", list(range(4)))
 for t in (F(1, 100), F(1, 9), F(2, 9), F(1, 3) + F(1, 100)):
     qp = QParam(t.numerator, t.denominator)
-    sgns = [multiplicity_signature([3, 3], m, qp) for m in range(4)]
+    sgns = multiplicity_signatures([3, 3], 3, qp)
     dims = [crystal_multiplicity([3, 3], m) for m in range(4)]
     print(f"  t = {t}: sgn {sgns} (dims {dims})")
 
@@ -36,7 +36,7 @@ for (a, b, m) in ((1, 1, 1), (4, 3, 2), (6, 6, 5)):
 print("\nAt q = 1 the same composition formula computes Verma-module signatures:")
 weights = [F(23, 10), F(17, 10), F(-2, 5)]
 dec = peel_decompose(weights, 6)
-formula = [multiplicity_signature(weights, m) for m in range(7)]
+formula = multiplicity_signatures(weights, 6)
 peeled = [dec.entry(m).signature for m in range(7)]
 print("  formula:", formula)
 print("  peeling:", peeled)

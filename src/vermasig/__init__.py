@@ -34,7 +34,6 @@ from .classify import (
     ExplicitType,
     classify_definite,
     explicit_type_of,
-    two_factor_sign,
     verify_type,
 )
 from .shapovalov import (
@@ -54,6 +53,7 @@ from .quantum import (
     coboundary_norm,
     crystal_multiplicity,
     multiplicity_signature,
+    multiplicity_signatures,
     q_binomial_sign,
     q_int_sign,
     q_vandermonde_check,

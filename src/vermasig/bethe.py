@@ -521,7 +521,6 @@ def bethe_vector(cfg: MasterConfig, t: Sequence[complex]) -> np.ndarray:
 class SpectrumWitness:
     joint: tuple[complex, ...]
     is_real: bool
-    max_imag: float
 
 
 def count_real_by_spectrum(cfg: MasterConfig, seed: int = 0) -> tuple[int, list[SpectrumWitness]]:
@@ -559,10 +558,8 @@ def count_real_by_spectrum(cfg: MasterConfig, seed: int = 0) -> tuple[int, list[
     conj = evecs.conj()
     joints = ((conj[None] * (hams @ evecs)).sum(1) / (conj * evecs).sum(0)).T.astype(complex)
     witnesses = [
-        SpectrumWitness(tuple(joint), is_real, max_imag)
-        for joint, is_real, max_imag in zip(
-            joints.tolist(), _is_real_rows(joints).tolist(), np.abs(joints.imag).max(1).tolist()
-        )
+        SpectrumWitness(tuple(joint), is_real)
+        for joint, is_real in zip(joints.tolist(), _is_real_rows(joints).tolist())
     ]
     return sum(1 for w in witnesses if w.is_real), witnesses
 

@@ -5,7 +5,9 @@ M_{lam_1} x ... x M_{lam_n} depend only on the integer tuple
 < floor(lam), floor(lam_1), ..., floor(lam_n) > (weights sorted descending).
 This module classifies which levels carry definite spaces directly from that
 tuple, and can cross-verify the answer against exact character peeling with
-randomized fractional parts.
+randomized fractional parts.  With two factors every level is definite, and
+its sign is the signature formula at fixed fractional parts: one
+``multiplicity_signatures`` pass gives every level up to the bound.
 """
 
 from __future__ import annotations
@@ -16,15 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .quantum import multiplicity_signature
+from .quantum import multiplicity_signatures
 from .sigchar import (
     DomainError,
     InvariantError,
     RationalLike,
     ensure_generic_tuple,
     ensure_int,
-    fractionize,
-    is_generic,
     peel_decompose,
 )
 
@@ -84,29 +84,6 @@ class DefiniteReport:
         return dict(self.entries)
 
 
-def _ensure_nonintegral(x: Fraction, name: str) -> Fraction:
-    if x.denominator == 1:
-        raise DomainError(f"{name} = {x} must be non-integral")
-    return x
-
-
-def two_factor_sign(x1: RationalLike, x2: RationalLike, k: int) -> int:
-    """Sign of the level-k multiplicity space of M_{x1} x M_{x2}.
-
-    Defined for non-integral x1 > x2 and k >= 0; the pair must be generic,
-    i.e. x1 + x2 is allowed to be integral only when negative.  This is the
-    signature formula at n = 2: the sign of
-    (x2 choose k) / (x1 choose k) * (x1 + x2 + 1 - k choose k) at q = 1.
-    """
-    x1 = _ensure_nonintegral(fractionize(x1), "x1")
-    x2 = _ensure_nonintegral(fractionize(x2), "x2")
-    if not x1 > x2:
-        raise DomainError(f"need x1 > x2, got {x1} <= {x2}")
-    if not is_generic(x1 + x2):
-        raise DomainError(f"x1 + x2 = {x1 + x2} is a nonnegative integer (not generic)")
-    return multiplicity_signature((x1, x2), ensure_int(k, "level k", 0))
-
-
 def default_level_bound(t: ExplicitType) -> int:
     """Bound past which no definite space can occur; covers every exceptional family."""
     return 2 * max(t.factor_floors[0], 0) + 6
@@ -160,8 +137,9 @@ def classify_definite(t: ExplicitType, level_bound: int | None = None) -> Defini
 
     Cases, dispatched in order:
       all weights negative          -> every level definite, sign (-1)^m;
-      two factors                   -> every level definite, sign from
-                                       two_factor_sign on fixed representatives;
+      two factors                   -> every level definite, signs from one
+                                       multiplicity_signatures pass on fixed
+                                       representatives;
       one positive (n >= 3)         -> alternating signs on levels 0 through
                                        max(0, ceil(lam/2));
       2 <= p <= n-2 (n >= 4)        -> only level 0, positive;
@@ -183,7 +161,7 @@ def classify_definite(t: ExplicitType, level_bound: int | None = None) -> Defini
         # fractional parts with the type's carry c = floor(x1 + x2) - f1 - f2 decide it
         (f1, f2), c = t.factor_floors, total - sum(t.factor_floors)
         x1, x2 = f1 + Fraction(2 + c, 4), f2 + Fraction(1 + c, 4)
-        _merge(levels, [(m, two_factor_sign(x1, x2, m)) for m in range(bound + 1)])
+        _merge(levels, list(enumerate(multiplicity_signatures((x1, x2), bound))))
     elif p == 1:
         # ceil(lam/2) = floor(total_floor/2) + 1 for non-integral lam; the
         # max(0, .) clamp makes the same value correct for integral lam < 0.

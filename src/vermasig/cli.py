@@ -19,11 +19,11 @@ from fractions import Fraction
 _NEGATIVE_RATIONAL_LIST = re.compile(r"^-\d[\d/,.\-]*$")
 
 from . import __version__
-from .sigchar import (
-    DomainError, GenericityError, ensure_generic_tuple, multiplicity_dim, peel_decompose,
-)
+from .sigchar import DomainError, GenericityError, multiplicity_dim, peel_decompose
 from .classify import ExplicitType, classify_definite, verify_type
-from .quantum import QParam, RootOfUnityError, crystal_multiplicity, multiplicity_signature
+from .quantum import (
+    QParam, RootOfUnityError, crystal_multiplicity, multiplicity_signature, multiplicity_signatures,
+)
 
 
 class UsageError(ValueError):
@@ -158,14 +158,10 @@ def _cmd_quantum(args) -> int:
             raise UsageError("--q1 needs --weights and --max-level")
         if args.max_level < 0:
             raise UsageError("--max-level must be nonnegative")
-        weights, _ = ensure_generic_tuple(_parse_list(args.weights, _parse_rational))
+        weights = _parse_list(args.weights, _parse_rational)
         rows = [
-            {
-                "m": m,
-                "sgn": multiplicity_signature(weights, m, None),
-                "dim": multiplicity_dim(len(weights), m),
-            }
-            for m in range(args.max_level + 1)
+            {"m": m, "sgn": sgn, "dim": multiplicity_dim(len(weights), m)}
+            for m, sgn in enumerate(multiplicity_signatures(weights, args.max_level))
         ]
         config = {
             "mode": "q1",
@@ -184,9 +180,9 @@ def _cmd_quantum(args) -> int:
         t = _parse_rational(args.t)
         qp = QParam(t.numerator, t.denominator)
         if args.all_levels:
-            levels = list(range(sum(a) // 2 + 1))
+            signs = dict(enumerate(multiplicity_signatures(a, sum(a) // 2, qp)))
         elif args.m is not None:
-            levels = [args.m]
+            signs = {args.m: multiplicity_signature(a, args.m, qp)}
         else:
             raise UsageError("give -m or --all-levels")
         rows = [
@@ -194,12 +190,12 @@ def _cmd_quantum(args) -> int:
                 "a": "+".join(str(x) for x in a),
                 "m": m,
                 "t": str(t),
-                "sgn": multiplicity_signature(a, m, qp),
+                "sgn": sgn,
                 "dim": crystal_multiplicity(a, m),
             }
-            for m in levels
+            for m, sgn in signs.items()
         ]
-        config = {"mode": "generic", "a": a, "t": str(t), "levels": levels}
+        config = {"mode": "generic", "a": a, "t": str(t), "levels": list(signs)}
         columns = ["a", "m", "t", "sgn", "dim"]
     _emit(args, "quantum", config, rows, columns)
     return 0
@@ -224,17 +220,16 @@ def _parse_sweep(expr: str) -> list[int]:
 def _bethe_level_job(job):
     """One sweep instance: its row, or the message of the FalsificationError that
     ``bound_check`` raised.  Module-level so process pools can run it."""
-    from .bethe import FalsificationError, MasterConfig, bound_check, find_critical_points
+    from .bethe import FalsificationError, bound_check, find_critical_points
 
-    weights, z, m, seed = job
-    cfg = MasterConfig(tuple(z), tuple(weights), m)
+    cfg, seed = job
     try:
         report_m = bound_check(cfg, seed=seed)
     except FalsificationError as exc:
         return str(exc)
     points = find_critical_points(cfg, report_m.witnesses)
     return {
-        "m": m,
+        "m": cfg.m,
         "dim": report_m.dim,
         "sgn": report_m.signature,
         "abs_sgn": abs(report_m.signature),
@@ -262,9 +257,11 @@ def _cmd_bethe(args) -> int:
     weights = _parse_list(args.weights, _parse_rational)
     z = _parse_list(args.z, _parse_rational)
     levels = [args.m] if args.sweep is None else _parse_sweep(args.sweep)
-    for m in levels:
-        MasterConfig(tuple(z), tuple(weights), m).require_generic()
-    jobs = [(weights, z, m, args.seed + idx) for idx, m in enumerate(levels)]
+    # every usage error comes before any output: each config is built, and the
+    # weights (the same at every level) checked, before the first job runs
+    configs = [MasterConfig(tuple(z), tuple(weights), m) for m in levels]
+    configs[0].require_generic()
+    jobs = [(cfg, args.seed + idx) for idx, cfg in enumerate(configs)]
     # the pool starts all its workers at once, so never more than there are jobs
     workers = min(args.threads, len(jobs))
     rows = []

@@ -3,10 +3,13 @@
 Signs of quantum integers [y] = sin(y*pi*t)/sin(pi*t) at q = e^{i*pi*t}, t = p/D,
 are computed by integer arithmetic on y*den*p mod 2*den*D for y with
 denominator den, so the combinatorial signature formula is exact: for tensor
-products of the (a+1)-dimensional simple modules, and at q = 1 with rational
-arguments for Verma-module multiplicity signatures.  One kernel signs a product
-of binomials (one, or a transfer step's three) from their tops' floors and
-remainders, at q = 1 by counting negative factors and at generic q by brackets.
+products of the (a+1)-dimensional simple modules, and at q = 1 with generic
+rational arguments for Verma-module multiplicity signatures.  One kernel signs
+a product of binomials (one, or a transfer step's three) from their tops'
+floors and remainders, at q = 1 by counting negative factors and at generic q
+by brackets.  The formula is a transfer pass over prefix sums whose middle
+steps do not depend on the level, so ``multiplicity_signatures`` answers every
+level of a range 0..top in one pass.
 A separate floating-point path builds the actual highest weight vectors and
 the coboundary-twisted form on a two-factor product to verify the closed
 form the signature formula rests on; the tests apply the coproduct raising
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .exact import integer_row
-from .sigchar import DomainError, RationalLike, ensure_int, fractionize
+from .sigchar import DomainError, RationalLike, ensure_generic_tuple, ensure_int, fractionize
 
 if TYPE_CHECKING:
     import numpy
@@ -120,6 +123,41 @@ def q_binomial_sign(top, bottom: int, qp: QParam | None = None) -> int:
     return _binomial_sign(bottom, (divmod(top.numerator, top.denominator),), top.denominator, qp)
 
 
+def _transfer(weights: Sequence, top: int, qp: QParam | None, every_level: bool) -> dict:
+    # the transfer pass of multiplicity_signature: the middle steps run to level top,
+    # and the last one ends at every level <= top, or at top alone
+    a = [fractionize(w) for w in weights]
+    n = len(a)
+    if n < 2:
+        raise DomainError("need at least two tensor factors")
+    top = ensure_int(top, "level", 0)
+    d, scaled = integer_row(a)
+    prefix_cuts = [divmod(v, d) for v in itertools.accumulate(scaled, initial=0)]
+    weight_cuts = [divmod(v, d) for v in scaled]
+    if qp is None:
+        # peeling's domain, read off the cuts: only a refused tuple pays for the Fraction
+        # sum of ensure_generic_tuple, which raises with peeling's message
+        if any(f >= 0 and not r for f, r in (*weight_cuts, prefix_cuts[-1])):
+            ensure_generic_tuple(a)
+    elif d == 1 and any(x < 0 for x in scaled):
+        raise DomainError("generic-q integer mode needs nonnegative weights")
+
+    # live prefix sums -> summed terms of the prefixes ending there
+    states = {0: 1}
+    for j in range(1, n):
+        (f1, r1), (f2, r2), weight = prefix_cuts[j + 1], prefix_cuts[j], weight_cuts[j]
+        reached: dict[int, int] = {}
+        for lo, total in states.items():
+            low = (f2 - 2 * lo, r2)
+            for hi in (top,) if j == n - 1 and not every_level else range(lo, top + 1):
+                if hi == lo:  # sign 1, and no tops to build
+                    reached[hi] = reached.get(hi, 0) + total
+                elif sign := _binomial_sign(hi - lo, ((f1 + 1 - lo - hi, r1), low, weight), d, qp):
+                    reached[hi] = reached.get(hi, 0) + sign * total
+        states = reached
+    return states
+
+
 def multiplicity_signature(
     weights: Sequence[RationalLike], m: int, qp: QParam | None = None
 ) -> int:
@@ -137,8 +175,8 @@ def multiplicity_signature(
     -1, or 0 when a binomial vanishes).  At generic q with nonnegative
     integer weights the sum over compositions is the signature of the induced
     coboundary form on the finite-dimensional multiplicity space; at q = 1
-    with generic rational weights it is the Verma-module signature
-    pos_m - neg_m.
+    with generic rational weights (GenericityError otherwise, as in peeling)
+    it is the Verma-module signature pos_m - neg_m.
 
     A step's sign depends only on (M_{j-1}, M_j), so the sum is a transfer
     matrix: one vector over M = 0..m, updated n - 1 times.  Every binomial
@@ -148,30 +186,17 @@ def multiplicity_signature(
     stays live even if its terms cancel, so RootOfUnityError is raised
     exactly where such a term meets a zero [k].
     """
-    a = [fractionize(w) for w in weights]
-    n = len(a)
-    if n < 2:
-        raise DomainError("need at least two tensor factors")
-    m = ensure_int(m, "level", 0)
-    d, scaled = integer_row(a)
-    if qp is not None and d == 1 and any(x < 0 for x in scaled):
-        raise DomainError("generic-q integer mode needs nonnegative weights")
-    prefix_cuts = [divmod(v, d) for v in itertools.accumulate(scaled, initial=0)]
-    weight_cuts = [divmod(v, d) for v in scaled]
+    return _transfer(weights, m, qp, False).get(m, 0)
 
-    # live prefix sums -> summed terms of the prefixes ending there
-    states = {0: 1}
-    for j in range(1, n):
-        (f1, r1), (f2, r2), weight = prefix_cuts[j + 1], prefix_cuts[j], weight_cuts[j]
-        reached: dict[int, int] = {}
-        for lo, total in states.items():
-            low = (f2 - 2 * lo, r2)
-            for hi in range(lo, m + 1) if j < n - 1 else (m,):
-                tops = ((f1 + 1 - lo - hi, r1), low, weight)
-                if sign := _binomial_sign(hi - lo, tops, d, qp) if hi > lo else 1:
-                    reached[hi] = reached.get(hi, 0) + sign * total
-        states = reached
-    return states.get(m, 0)
+
+def multiplicity_signatures(
+    weights: Sequence[RationalLike], top: int, qp: QParam | None = None
+) -> list[int]:
+    """multiplicity_signature at levels 0..top from one pass: no prefix sum exceeds
+    its level, so the middle steps run to top once and the last ends at each level.
+    RootOfUnityError is raised exactly when some level 0..top alone raises it."""
+    states = _transfer(weights, top, qp, True)
+    return [states.get(m, 0) for m in range(top + 1)]
 
 
 def crystal_multiplicity(a: Sequence[int], m: int) -> int:

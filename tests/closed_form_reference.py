@@ -11,7 +11,7 @@ one binomial-sign kernel:
   its own reduction of j*p mod 2D and a reflection for negative integer tops
   (the library reads every top as an integer floor plus a remainder);
 - ``two_factor_piecewise`` is the piecewise recursion for the two-factor sign
-  (``two_factor_sign`` is now the signature formula at n = 2);
+  (the library reads it off the signature formula at n = 2);
 - ``greedy_peel`` multiplies truncated Verma characters and peels them level
   by level (``peel_decompose`` now divides one numerator series).
 

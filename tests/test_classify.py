@@ -7,10 +7,12 @@ import pytest
 from vermasig import (
     DomainError,
     ExplicitType,
+    GenericityError,
     classify_definite,
     explicit_type_of,
+    multiplicity_signature,
+    multiplicity_signatures,
     peel_decompose,
-    two_factor_sign,
     verify_type,
 )
 from vermasig import classify
@@ -48,39 +50,43 @@ def test_explicit_type_of_sorts():
 
 
 def test_two_factor_sign_both_negative():
-    assert two_factor_sign(F(-1, 2), F(-3, 2), 3) == -1
-    assert two_factor_sign(F(-1, 2), F(-3, 2), 0) == 1
+    assert multiplicity_signature((F(-1, 2), F(-3, 2)), 3) == -1
+    assert multiplicity_signature((F(-1, 2), F(-3, 2)), 0) == 1
 
 
 def test_two_factor_sign_mixed():
     # positive/negative with positive sum: level 2 sits in the alternating
     # middle band
-    assert two_factor_sign(F(5, 2), F(-7, 10), 2) == -1
+    assert multiplicity_signature((F(5, 2), F(-7, 10)), 2) == -1
+
+
+def random_generic_pair(rng, denominators, span):
+    """A pair for the two-factor sign, the signature formula at n = 2: generic, in
+    either order, negative integral weights included."""
+    while True:
+        pair = [F(rng.randint(-span, span), rng.choice(denominators)) for _ in range(2)]
+        if all(x.denominator > 1 or x < 0 for x in (*pair, sum(pair))):
+            return pair
 
 
 def test_two_factor_sign_level0_always_positive():
     rng = random.Random(3)
     for _ in range(50):
-        x1 = F(rng.randint(-40, 40), rng.choice([7, 11, 13]))
-        x2 = F(rng.randint(-40, 40), rng.choice([7, 11, 13]))
-        if x1.denominator == 1 or x2.denominator == 1 or x1 <= x2:
-            continue
-        s = x1 + x2
-        if s.denominator == 1 and s >= 0:
-            continue
-        assert two_factor_sign(x1, x2, 0) == 1
+        assert multiplicity_signature(random_generic_pair(rng, [1, 7, 11, 13], 40), 0) == 1
 
 
 def test_two_factor_sign_domain_errors():
-    with pytest.raises(DomainError):
-        two_factor_sign(F(1), F(-1, 2), 1)
-    with pytest.raises(DomainError):
-        two_factor_sign(F(-1, 2), F(1, 2), 1)  # not ordered
-    with pytest.raises(DomainError):
-        two_factor_sign(F(3, 2), F(1, 2), 1)  # sum = 2 not generic
+    # the formula's domain is peeling's: a nonnegative integral weight or total is
+    # refused, while a negative integral weight and either order are allowed
+    for pair in ((F(1), F(-1, 2)), (F(3, 2), F(1, 2)), (0, F(-7, 2))):
+        with pytest.raises(GenericityError):
+            multiplicity_signature(pair, 1)
+    assert multiplicity_signature((F(-7, 10), F(5, 2)), 2) == -1
+    for m, entry in enumerate(peel_decompose([-2, F(13, 3)], 6).entries):
+        assert multiplicity_signature((-2, F(13, 3)), m) == entry.signature
     for k in (1.5, F(3, 2), -1):  # 1.5 once gave -1
         with pytest.raises(DomainError):
-            two_factor_sign(F(5, 2), F(-7, 10), k)
+            multiplicity_signature((F(5, 2), F(-7, 10)), k)
 
 
 def test_classify_definite_rejects_bad_level_bounds():
@@ -92,37 +98,21 @@ def test_classify_definite_rejects_bad_level_bounds():
 
 
 def test_two_factor_sign_is_unit_valued():
-    # the recursion's additive correction must never leave {+1, -1}
+    # every two-factor multiplicity space is a line, so no level's sign may leave {+1, -1}
     rng = random.Random(8)
-    trials = 0
-    while trials < 300:
-        x1 = F(rng.randint(-60, 60), rng.choice([7, 9, 11, 13, 17]))
-        x2 = F(rng.randint(-60, 60), rng.choice([7, 9, 11, 13, 17]))
-        if x1.denominator == 1 or x2.denominator == 1 or x1 <= x2:
-            continue
-        s = x1 + x2
-        if s.denominator == 1 and s >= 0:
-            continue
-        for k in range(0, 14):
-            assert two_factor_sign(x1, x2, k) in (-1, 1)
-        trials += 1
+    for _ in range(300):
+        pair = random_generic_pair(rng, [1, 7, 9, 11, 13, 17], 60)
+        assert all(s in (-1, 1) for s in multiplicity_signatures(pair, 13)), pair
 
 
 def test_two_factor_sign_equals_peeling():
     rng = random.Random(11)
-    trials = 0
-    while trials < 60:
-        x1 = F(rng.randint(-40, 40), rng.choice([7, 10, 13]))
-        x2 = F(rng.randint(-40, 40), rng.choice([7, 10, 13]))
-        if x1.denominator == 1 or x2.denominator == 1 or x1 <= x2:
-            continue
-        s = x1 + x2
-        if s.denominator == 1 and s >= 0:
-            continue
-        dec = peel_decompose([x1, x2], 12)
-        for m in range(13):
-            assert two_factor_sign(x1, x2, m) == dec.entry(m).signature
-        trials += 1
+    for _ in range(60):
+        x1, x2 = random_generic_pair(rng, [1, 7, 10, 13], 40)
+        peeled = [e.signature for e in peel_decompose([x1, x2], 12).entries]
+        assert multiplicity_signatures((x1, x2), 12) == peeled, (x1, x2)
+        assert multiplicity_signatures((x2, x1), 12) == peeled, (x2, x1)
+        assert [multiplicity_signature((x1, x2), m) for m in range(13)] == peeled, (x1, x2)
 
 
 def test_two_factor_sign_matches_piecewise_grid():
@@ -134,10 +124,9 @@ def test_two_factor_sign_matches_piecewise_grid():
                 s = x1 + x2
                 if x1 <= x2 or (s.denominator == 1 and s >= 0):
                     continue
-                for k in range(16):
-                    want = two_factor_piecewise(x1, x2, k)
-                    assert two_factor_sign(x1, x2, k) == want, (x1, x2, k)
-                    checked += 1
+                want = [two_factor_piecewise(x1, x2, k) for k in range(16)]
+                assert multiplicity_signatures((x1, x2), 15) == want, (x1, x2)
+                checked += len(want)
     assert checked == 40800
 
 
@@ -244,7 +233,7 @@ def test_n2_signs_equal_the_formula_on_random_representatives():
         for t in consistent_types(2, -8, 8):
             x1, x2 = representative_weights(t, rng)
             for bound in (3, default_level_bound(t)):
-                want = tuple((m, two_factor_sign(x1, x2, m)) for m in range(bound + 1))
+                want = tuple((m, multiplicity_signature((x1, x2), m)) for m in range(bound + 1))
                 assert classify_definite(t, bound).entries == want, (t, seed)
 
 

@@ -148,6 +148,16 @@ def test_quantum_rejects_unused_or_negative_flags(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_quantum_answers_a_level_above_an_undefined_one(capsys):
+    # at t = 1/4, [4] = 0: level 1 of V_0 x V_4 is undefined, level 2 is not
+    code, out, _ = run(capsys, ["quantum", "--a", "0,4", "--t", "1/4", "-m", "2", "--json"])
+    assert code == 0
+    assert [(r["m"], r["sgn"]) for r in json.loads(out)["rows"]] == [(2, 0)]
+    code, out, err = run(capsys, ["quantum", "--a", "0,4", "--t", "1/4", "--all-levels"])
+    assert (code, out) == (2, "")
+    assert "vanishes at t = 1/4" in err
+
+
 def test_quantum_rejects_fractional_a(capsys):
     code, _, err = run(capsys, ["quantum", "--a", "3/2,2", "--t", "1/23", "--all-levels"])
     assert code == 2
@@ -325,6 +335,24 @@ def test_bethe_builds_one_gaudin_system_per_level(capsys, monkeypatch):
     code, _, _ = run(capsys, SWEEP)
     assert code == 0
     assert calls == [1, 2]
+
+
+def test_bethe_builds_each_config_once_and_checks_the_weights_once(capsys, monkeypatch):
+    built, checks, jobs = [], [], []
+    init, check = bethe.MasterConfig.__post_init__, bethe.ensure_generic_tuple
+    job = cli._bethe_level_job
+    monkeypatch.setattr(bethe.MasterConfig, "__post_init__", lambda c: built.append(c.m) or init(c))
+    monkeypatch.setattr(bethe, "ensure_generic_tuple", lambda w: checks.append(w) or check(w))
+    monkeypatch.setattr(cli, "_bethe_level_job", lambda j: jobs.append(len(checks)) or job(j))
+    code, _, _ = run(capsys, SWEEP)
+    assert code == 0
+    assert built == [1, 2]
+    assert jobs[0] == 1  # one weight check before the first job
+    # a usage error still comes before any output, and before any job
+    jobs.clear()
+    argv = ["bethe", "--weights", "2,-1/2,-7/5", "--z", "0,1,3", "--sweep", "m=1..2"]
+    assert run(capsys, argv) == (2, "", "error: weight 2 is a nonnegative integer\n")
+    assert jobs == []
 
 
 def test_bethe_deterministic_given_seed(capsys):

@@ -29,7 +29,8 @@ BETHE_COMMANDS = [
     ["bethe", "--weights", "-1/2,-3/4,-7/5", "--z", "0,1,3", "--sweep", "m=1..3", "--csv"],
 ]
 
-# the public names before the Bethe names became lazy, submodules included
+# the public names, submodules included: those before the Bethe names became lazy, with
+# multiplicity_signatures in place of the deleted two_factor_sign
 PUBLIC = {
     "BoundReport", "CriticalPoint", "Decomposition", "DecompositionEntry", "DefiniteReport",
     "DomainError", "ExplicitType", "FalsificationError", "GaudinSystem", "GenericityError",
@@ -39,10 +40,10 @@ PUBLIC = {
     "closed_form_norm", "coboundary_norm", "compositions", "count_real_by_spectrum",
     "crystal_multiplicity", "e_decomposition_check", "exact", "exact_signature",
     "explicit_type_of", "find_critical_points", "gaudin_system", "gram_on_multiplicity",
-    "master_value", "multiplicity_signature", "multiply", "peel_decompose", "q_binomial_sign",
-    "q_int_sign", "q_vandermonde_check", "quantum", "shapovalov", "shapovalov_norm", "sigchar",
-    "singular_basis", "two_factor_sign", "unit_normalized_hwv", "verify_type",
-    "verma_character", "zy_commutator_check",
+    "master_value", "multiplicity_signature", "multiplicity_signatures", "multiply",
+    "peel_decompose", "q_binomial_sign", "q_int_sign", "q_vandermonde_check", "quantum",
+    "shapovalov", "shapovalov_norm", "sigchar", "singular_basis", "unit_normalized_hwv",
+    "verify_type", "verma_character", "zy_commutator_check",
 }
 
 

@@ -8,12 +8,14 @@ import pytest
 
 from vermasig import (
     DomainError,
+    GenericityError,
     QParam,
     RootOfUnityError,
     closed_form_norm,
     coboundary_norm,
     crystal_multiplicity,
     multiplicity_signature,
+    multiplicity_signatures,
     peel_decompose,
     q_binomial_sign,
     q_int_sign,
@@ -373,22 +375,34 @@ def test_formula_matches_composition_sum_on_unit_circle_classes():
 def test_q1_step_signs_match_composition_sum_on_a_grid_of_vanishing_binomials():
     # at q = 1 a step sign counts the negative factors of its three binomials, and is 0
     # when an integral top lies in [0, k): integral prefix sums A_j (1/2 + 1/2, 1/3 - 4/3),
-    # integral weights of both signs (0 and 2 choose k vanish) and negative integral totals
+    # negative integral weights and negative integral totals; a nonnegative integral
+    # weight (0, 2) or total is outside the formula's domain, as it is outside peeling's
     values = (-3, -1, 0, 2, F(-1, 2), F(1, 2), F(1, 3), F(-4, 3))
     rng = random.Random(24)
-    grids = {2: itertools.product(values, repeat=2)}
+    draws = {2: list(itertools.product(values, repeat=2))}
     for n, count in ((3, 150), (4, 60), (5, 30)):
-        grids[n] = [rng.choices(values, k=n) for _ in range(count)]
+        # draw until count tuples are generic; the others are refused on the way
+        draws[n], generic = [], 0
+        while generic < count:
+            draws[n].append(weights := rng.choices(values, k=n))
+            generic += all(map(is_generic, (*weights, sum(weights))))
     kinds = set()
-    for n, grid in grids.items():
+    refused = 0
+    for n, grid in draws.items():
         for weights in grid:
             prefix = list(itertools.accumulate(weights))
+            if not all(is_generic(x) for x in (*weights, prefix[-1])):
+                for m in range(9):
+                    with pytest.raises(GenericityError):
+                        multiplicity_signature(weights, m)
+                refused += 1
+                continue
             kinds.add((n, any(F(x).denominator == 1 for x in prefix[:-1]),
                        F(prefix[-1]).denominator == 1 and prefix[-1] < 0))
             for m in range(9):
                 assert multiplicity_signature(weights, m) == composition_sum(weights, m), (weights, m)
     # every n meets integral prefix sums, and negative integral totals, with and without
-    assert len(kinds) == 4 * 2 * 2
+    assert len(kinds) == 4 * 2 * 2 and refused
 
 
 def test_formula_matches_composition_sum_on_large_cases():
@@ -398,29 +412,82 @@ def test_formula_matches_composition_sum_on_large_cases():
         assert multiplicity_signature(lams, m) == composition_sum(lams, m), (lams, m)
 
 
-def test_root_of_unity_error_where_composition_sum_raises():
-    # sum(a) up to and past D, where some quantum integers vanish
+def root_of_unity_inputs():
+    """(a, qp, top): sum(a) up to and past D, where some quantum integers vanish."""
     rng = random.Random(58)
-    raised = returned = 0
     for p, d in ((1, 5), (2, 7), (3, 8)):
         qp = QParam(p, d)
         for n in (2, 3, 4):
             for total in range(d + 4):
                 for _ in range(3):
-                    a = random_split(rng, total, n)
-                    for m in range(total // 2 + 2):
-                        want = outcome(a, m, qp, composition_sum)
-                        assert outcome(a, m, qp, multiplicity_signature) == want, (a, m, qp)
-                        raised += want is RootOfUnityError
-                        returned += want is not RootOfUnityError
+                    yield random_split(rng, total, n), qp, total // 2 + 1
+
+
+# rational weights at generic q where the terms of all prefixes reaching
+# some prefix sum cancel, and a step from that prefix sum raises
+CANCELLING_ROOT_OF_UNITY_CASES = (
+    ((1, 5), ("-7/2", 1, "9/2", -2, 5), 2),
+    ((2, 7), (9, -5, -3, "7/2"), 3),
+    ((3, 8), ("9/2", "-15/2", 4, -8), 3),
+)
+
+
+def test_root_of_unity_error_where_composition_sum_raises():
+    raised = returned = 0
+    for a, qp, top in root_of_unity_inputs():
+        for m in range(top + 1):
+            want = outcome(a, m, qp, composition_sum)
+            assert outcome(a, m, qp, multiplicity_signature) == want, (a, m, qp)
+            raised += want is RootOfUnityError
+            returned += want is not RootOfUnityError
     assert raised and returned
-    # rational weights at generic q where the terms of all prefixes reaching
-    # some prefix sum cancel, and a step from that prefix sum raises
-    for (p, d), weights, m in (
-        ((1, 5), ("-7/2", 1, "9/2", -2, 5), 2),
-        ((2, 7), (9, -5, -3, "7/2"), 3),
-        ((3, 8), ("9/2", "-15/2", 4, -8), 3),
-    ):
+    for (p, d), weights, m in CANCELLING_ROOT_OF_UNITY_CASES:
         assert outcome(weights, m, QParam(p, d), composition_sum) is RootOfUnityError
         with pytest.raises(RootOfUnityError):
             multiplicity_signature(weights, m, QParam(p, d))
+
+
+def test_range_pass_equals_the_level_calls_at_q1():
+    rng = random.Random(26)
+    for n in (2, 3, 4, 5):
+        for _ in range(25):
+            lams = random_generic_tuple(rng, n)
+            top = rng.randint(0, 8)
+            want = [multiplicity_signature(lams, m) for m in range(top + 1)]
+            assert multiplicity_signatures(lams, top) == want, (lams, top)
+
+
+def test_range_pass_raises_exactly_when_some_level_raises():
+    # the range 0..k is undefined when any of its levels is, and is every level's sign
+    # otherwise; a level may be defined above an undefined one
+    raised = returned = 0
+    for a, qp, top in root_of_unity_inputs():
+        for k in range(top + 1):
+            levels = [outcome(a, m, qp, multiplicity_signature) for m in range(k + 1)]
+            want = RootOfUnityError if RootOfUnityError in levels else levels
+            assert outcome(a, k, qp, multiplicity_signatures) == want, (a, k, qp)
+            raised += want is RootOfUnityError
+            returned += want is not RootOfUnityError
+    assert raised and returned
+    for (p, d), weights, m in CANCELLING_ROOT_OF_UNITY_CASES:
+        with pytest.raises(RootOfUnityError):
+            multiplicity_signatures(weights, m, QParam(p, d))
+    # at t = 1/4, [4] = 0: level 1 of V_0 x V_4 is undefined, and level 2 is not
+    qp = QParam(1, 4)
+    levels = [outcome([0, 4], m, qp, multiplicity_signature) for m in range(3)]
+    assert levels == [1, RootOfUnityError, 0]
+    with pytest.raises(RootOfUnityError):
+        multiplicity_signatures([0, 4], 2, qp)
+
+
+def test_q1_formula_refuses_what_peeling_refuses():
+    # a nonnegative integral weight or total once got a sign (1 at level 1 for both)
+    for weights in ([F(1, 2), F(1, 2)], [1, 2], [F(1, 3), 0, F(-5, 2)], [F(1, 3), F(2, 3), -1]):
+        with pytest.raises(GenericityError) as peeled:
+            peel_decompose(weights, 1)
+        for call in (multiplicity_signature, multiplicity_signatures):
+            with pytest.raises(GenericityError) as formula:
+                call(weights, 1)
+            assert str(formula.value) == str(peeled.value)
+    # generic-q integer mode keeps its nonnegative integer weights
+    assert multiplicity_signature([1, 2], 1, QParam(1, 23)) == 1
