@@ -47,7 +47,6 @@ from .shapovalov import (
 )
 from .quantum import (
     QParam,
-    QTensorState,
     RootOfUnityError,
     closed_form_norm,
     coboundary_norm,

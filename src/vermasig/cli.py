@@ -20,7 +20,7 @@ _NEGATIVE_RATIONAL_LIST = re.compile(r"^-\d[\d/,.\-]*$")
 
 from . import __version__
 from .sigchar import DomainError, GenericityError, multiplicity_dim, peel_decompose
-from .classify import ExplicitType, classify_definite, verify_type
+from .classify import ExplicitType, classify_definite, explicit_type_of, verify_type
 from .quantum import (
     QParam, RootOfUnityError, crystal_multiplicity, multiplicity_signature, multiplicity_signatures,
 )
@@ -124,8 +124,6 @@ def _cmd_classify(args) -> int:
         values = _parse_list(args.type, _parse_int)
         etype = ExplicitType(values[0], tuple(values[1:]))
     else:
-        from .classify import explicit_type_of
-
         etype = explicit_type_of(_parse_list(args.weights, _parse_rational))
     report_obj = classify_definite(etype, args.bound)
     bound = report_obj.complete_up_to  # --bound, or the type's default

@@ -10,13 +10,11 @@ floors and remainders, at q = 1 by counting negative factors and at generic q
 by brackets.  The formula is a transfer pass over prefix sums whose middle
 steps do not depend on the level, so ``multiplicity_signatures`` answers every
 level of a range 0..top in one pass.
-A separate floating-point path builds the actual highest weight vectors and
-the coboundary-twisted form on a two-factor product to verify the closed
-form the signature formula rests on; the tests apply the coproduct raising
-operator to those vectors to check that they are highest weight vectors.
-The coboundary check itself uses cmath alone; numpy is imported only by
-``unit_normalized_hwv`` and ``QTensorState.norm``, on first call, so the exact
-signatures load no numpy.
+A separate floating-point path builds the coefficients of the highest weight
+vectors and the coboundary-twisted form on a two-factor product to verify the
+closed form the signature formula rests on; the tests apply the coproduct
+raising operator to those vectors to check that they are highest weight vectors.
+It uses math and cmath alone, like the rest of this module.
 """
 
 from __future__ import annotations
@@ -26,13 +24,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .exact import integer_row
 from .sigchar import DomainError, RationalLike, ensure_generic_tuple, ensure_int, fractionize
-
-if TYPE_CHECKING:
-    import numpy
 
 
 class RootOfUnityError(ValueError):
@@ -244,20 +239,6 @@ def q_binomial_value(n: int, k: int, qp: QParam) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class QTensorState:
-    """Vector in V_a x V_b: coeffs[i, j] multiplies v_i x w_j."""
-
-    a: int
-    b: int
-    coeffs: numpy.ndarray
-
-    def norm(self) -> float:
-        import numpy as np
-
-        return float(np.linalg.norm(self.coeffs))
-
-
 def _two_factor_level(a: int, b: int, m: int) -> tuple[int, int, int]:
     """(a, b, m) as ints, m a level of V_a x V_b: 0 <= m <= min(a, b), else DomainError."""
     a, b, m = ensure_int(a, "a"), ensure_int(b, "b"), ensure_int(m, "level")
@@ -266,33 +247,21 @@ def _two_factor_level(a: int, b: int, m: int) -> tuple[int, int, int]:
     return a, b, m
 
 
-def _hwv_coefficients(a: int, b: int, m: int, qp: QParam) -> list[complex]:
-    """v_i x w_{m-i} coefficients, i = 0..m, of the unit-normalized highest weight vector.
+def unit_normalized_hwv(a: int, b: int, m: int, qp: QParam) -> tuple[complex, ...]:
+    """Highest weight vector u of the weight-(a+b-2m) summand of V_a x V_b.
 
-    The i-th is (-1)^i q^{ai-i^2+i} (b-m+i choose i)_q / (a choose i)_q.
+    Returns its coefficients on v_i x w_{m-i}, i = 0..m, normalized so the
+    v_0 x w_m one is 1: the i-th is
+    (-1)^i q^{ai-i^2+i} (b-m+i choose i)_q / (a choose i)_q.
     """
     a, b, m = _two_factor_level(a, b, m)
-    return [
+    return tuple(
         (-1) ** i
         * qp.power(a * i - i * i + i)
         * q_binomial_value(b - m + i, i, qp)
         / q_binomial_value(a, i, qp)
         for i in range(m + 1)
-    ]
-
-
-def unit_normalized_hwv(a: int, b: int, m: int, qp: QParam) -> QTensorState:
-    """Highest weight vector of the weight-(a+b-2m) summand of V_a x V_b.
-
-    Normalized so the v_0 x w_m coefficient is 1 (see _hwv_coefficients).
-    """
-    import numpy as np
-
-    u = _hwv_coefficients(a, b, m, qp)
-    coeffs = np.zeros((a + 1, b + 1), dtype=complex)
-    for i, value in enumerate(u):
-        coeffs[i, m - i] = value
-    return QTensorState(a, b, coeffs)
+    )
 
 
 def coboundary_norm(a: int, b: int, m: int, qp: QParam) -> complex:
@@ -303,7 +272,7 @@ def coboundary_norm(a: int, b: int, m: int, qp: QParam) -> complex:
     q^{ab/2-am-bm+m^2-m}), and pairs against u through the diagonal
     single-factor norms (v_i, v_i) = (a choose i)_q.
     """
-    u = _hwv_coefficients(a, b, m, qp)
+    u = unit_normalized_hwv(a, b, m, qp)
     c0 = (
         (-1) ** m
         * qp.power(Fraction(a * b, 2) - a * m - b * m + m * m - m)
@@ -311,7 +280,7 @@ def coboundary_norm(a: int, b: int, m: int, qp: QParam) -> complex:
         / q_binomial_value(a, m, qp)
     )
     # the braiding swaps the factors: the same coefficients with a and b exchanged
-    braided = [c0 * v for v in _hwv_coefficients(b, a, m, qp)]
+    braided = [c0 * v for v in unit_normalized_hwv(b, a, m, qp)]
     scalar = qp.power(-Fraction(a * b, 2) + a * m + b * m - m * m + m)
     paired = sum(
         braided[m - i]
@@ -335,6 +304,7 @@ def closed_form_norm(a: int, b: int, m: int, qp: QParam) -> float:
 
 def q_vandermonde_check(a: int, b: int, m: int, qp: QParam) -> bool:
     """Convolution identity the closed form rests on, checked numerically to a relative 1e-10."""
+    a, b, m = _two_factor_level(a, b, m)
     lhs = qp.power(b * m - m * m + m) * sum(
         qp.power(-(a + b + 2 - 2 * m) * i)
         * q_binomial_value(m - b - 1, i, qp)

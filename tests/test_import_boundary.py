@@ -1,7 +1,7 @@
-"""Only the float layers load numpy; the exact layers and their commands do not.
+"""Only the float layer ``bethe`` loads numpy; the exact layers and their commands do not.
 
 ``vermasig`` exports the Bethe names lazily, ``cli`` imports ``bethe`` inside the
-``bethe`` command, and ``quantum`` imports numpy inside its two float helpers.
+``bethe`` command, and ``quantum``'s numeric norm checks use math and cmath alone.
 Each check runs in a fresh interpreter, since this process has numpy loaded.
 """
 
@@ -13,7 +13,6 @@ import sys
 import pytest
 
 import vermasig
-from vermasig import QParam, unit_normalized_hwv
 
 SRC = os.path.dirname(os.path.dirname(vermasig.__file__))
 
@@ -30,11 +29,12 @@ BETHE_COMMANDS = [
 ]
 
 # the public names, submodules included: those before the Bethe names became lazy, with
-# multiplicity_signatures in place of the deleted two_factor_sign
+# multiplicity_signatures in place of the deleted two_factor_sign and without the deleted
+# QTensorState
 PUBLIC = {
     "BoundReport", "CriticalPoint", "Decomposition", "DecompositionEntry", "DefiniteReport",
     "DomainError", "ExplicitType", "FalsificationError", "GaudinSystem", "GenericityError",
-    "GramMatrix", "InvariantError", "MasterConfig", "QParam", "QTensorState",
+    "GramMatrix", "InvariantError", "MasterConfig", "QParam",
     "RootOfUnityError", "SCoeff", "SignatureSeries", "SingularBasis", "asymptotic_signature",
     "bethe", "bethe_residual", "bethe_vector", "bound_check", "classify", "classify_definite",
     "closed_form_norm", "coboundary_norm", "compositions", "count_real_by_spectrum",
@@ -80,7 +80,7 @@ def test_only_the_bethe_commands_load_numpy(argv):
 
 
 def test_public_names_resolve_as_before():
-    assert len(PUBLIC) == 55 and set(vermasig.__all__) == PUBLIC
+    assert len(PUBLIC) == 54 and set(vermasig.__all__) == PUBLIC
     script = """
 import json, sys, vermasig
 names = {}
@@ -119,14 +119,16 @@ print(json.dumps([rebound, vermasig.bound_check is original]))
     assert fresh(script) == [True, True]
 
 
-def test_float_helpers_import_numpy_on_call():
+def test_two_factor_norm_checks_load_no_numpy():
     script = """
 import json, sys
-from vermasig import QParam, unit_normalized_hwv
-before = 'numpy' in sys.modules
-norm = unit_normalized_hwv(3, 2, 2, QParam(2, 31)).norm()
-print(json.dumps([before, 'numpy' in sys.modules, norm]))
+from vermasig import QParam, closed_form_norm, coboundary_norm, q_vandermonde_check
+from vermasig import unit_normalized_hwv
+qp = QParam(2, 31)
+u = unit_normalized_hwv(3, 2, 2, qp)
+checks = [coboundary_norm(3, 2, 2, qp).real, closed_form_norm(3, 2, 2, qp)]
+print(json.dumps([len(u), *checks, q_vandermonde_check(3, 2, 2, qp), 'numpy' in sys.modules]))
 """
-    before, after, norm = fresh(script)
-    assert (before, after) == (False, True)
-    assert norm == unit_normalized_hwv(3, 2, 2, QParam(2, 31)).norm()
+    length, direct, closed, identity, loaded = fresh(script)
+    assert (length, identity, loaded) == (3, True, False)
+    assert abs(direct - closed) <= 1e-10 * abs(closed)

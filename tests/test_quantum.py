@@ -22,7 +22,7 @@ from vermasig import (
     q_vandermonde_check,
     unit_normalized_hwv,
 )
-from vermasig.quantum import QTensorState, q_binomial_value, q_int_value
+from vermasig.quantum import q_binomial_value, q_int_value
 from vermasig.sigchar import is_generic
 
 from closed_form_reference import binomial_sign_loop, composition_sum, q_binomial_sign_loop
@@ -227,9 +227,9 @@ def test_signature_bounded_by_crystal_multiplicity_past_top_level():
 
 def test_hwv_small_case():
     qp = QParam(1, 23)
-    state = unit_normalized_hwv(1, 1, 1, qp)
-    assert state.coeffs[0, 1] == 1
-    assert abs(state.coeffs[1, 0] + qp.q) < 1e-14
+    u = unit_normalized_hwv(1, 1, 1, qp)
+    assert u[0] == 1
+    assert abs(u[1] + qp.q) < 1e-14
     with pytest.raises(DomainError):
         unit_normalized_hwv(2, 2, 3, qp)
     # fractional indices once raised a raw TypeError or returned a value
@@ -245,16 +245,20 @@ def test_hwv_small_case():
 def test_both_sides_of_the_norm_identity_refuse_the_same_levels():
     # closed_form_norm(2, 2, 3) once raised ZeroDivisionError where coboundary_norm refused
     qp = QParam(1, 23)
-    for a, b, m in ((2, 2, 3), (2, 2, -1), (1, 3, 2), (3, 1, 2), (2.5, 2, 1), (2, 2, 1.0)):
-        for norm in (coboundary_norm, closed_form_norm):
+    for a, b, m in (
+        (2, 2, 3), (2, 2, -1), (1, 3, 2), (3, 1, 2), (2.5, 2, 1), (2, 2, 1.0), (2, 2, 1.5),
+    ):
+        for side in (coboundary_norm, closed_form_norm, q_vandermonde_check):
             with pytest.raises(DomainError):
-                norm(a, b, m, qp)
+                side(a, b, m, qp)
     assert abs(coboundary_norm(3, 2, 2, qp) - closed_form_norm(3, 2, 2, qp)) < 1e-12
 
 
-def raising_action(state: QTensorState, qp: QParam) -> np.ndarray:
-    """Coproduct raising operator E x 1 + K x E applied to a two-factor state."""
-    a, b, c = state.a, state.b, state.coeffs
+def raising_action(a: int, b: int, m: int, u: tuple[complex, ...], qp: QParam) -> np.ndarray:
+    """Coproduct raising operator E x 1 + K x E applied to sum_i u[i] v_i x w_{m-i}."""
+    c = np.zeros((a + 1, b + 1), dtype=complex)
+    for i, value in enumerate(u):
+        c[i, m - i] = value
     out = np.zeros_like(c)
     for i in range(a + 1):
         for j in range(b + 1):
@@ -272,9 +276,9 @@ def test_hwv_is_annihilated():
     for a in range(7):
         for b in range(7):
             for m in range(min(a, b) + 1):
-                state = unit_normalized_hwv(a, b, m, qp)
-                residual = np.linalg.norm(raising_action(state, qp))
-                assert residual <= 1e-12 * state.norm()
+                u = unit_normalized_hwv(a, b, m, qp)
+                residual = np.linalg.norm(raising_action(a, b, m, u, qp))
+                assert residual <= 1e-12 * np.linalg.norm(u)
 
 
 def test_coboundary_norm_simplest_case():
