@@ -341,7 +341,7 @@ def hamiltonian_matrices(cfg: MasterConfig, level: int | None = None) -> list[ex
     w of unit vector c under _images, the builder gaudin_system uses.
     """
     space = shapovalov.Level(*cfg.integral_weights, cfg.m if level is None else level)
-    (dz, zeta, p), size = cfg.integral_points, len(space.compositions)
+    (dz, zeta, p), size = cfg.integral_points, len(space.shape.compositions)
     units = [[int(r == c) for r in range(size)] for c in range(size)]
     big = 2 * space.den**2 * p
     # images[i][c], the image of unit vector c, is column c of H_i times big / Dz
@@ -424,12 +424,12 @@ def _images(
     """images[i][f] = sum_{j != i} P/(zeta_i - zeta_j) 2D^2 Omega_ij u_f, once per pair i < j,
     for integer vectors u_f over the level's compositions, lams = a / D.
 
-    2D^2 Omega_ij moves a unit from factor a to b, {a, b} = {i, j}, by 2D steps[a][k_a - 1],
+    2D^2 Omega_ij moves a unit from factor a to b, {a, b} = {i, j}, by 2D steps[a*m + k_a - 1],
     and scales by (a_i - 2 k_i D)(a_j - 2 k_j D).  Each pair's sparse columns (per
     composition its diagonal term, then its moves) are applied to every vector at once.
     """
-    den, nums, steps = level.den, level.nums, level.steps
-    comps, index = level.compositions, level.index
+    den, nums, steps, m = level.den, level.nums, level.steps, level.m
+    comps, index = level.shape.compositions, level.shape.index
     out = [[[0] * len(comps) for _ in vectors] for _ in nums]
     for i, j in itertools.combinations(range(len(nums)), 2):
         columns = []
@@ -439,7 +439,7 @@ def _images(
                 if k := comp[a]:
                     target = list(comp)
                     target[a], target[b] = k - 1, comp[b] + 1
-                    column.append((index[tuple(target)], 2 * den * steps[a][k - 1]))
+                    column.append((index[tuple(target)], 2 * den * steps[a * m + k - 1]))
             columns.append(column)
         # P/(zeta_j - zeta_i) = -wt: P is divisible by zeta_i - zeta_j
         wt = p // (zeta[i] - zeta[j])

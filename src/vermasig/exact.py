@@ -5,12 +5,12 @@ rational row), then eliminated fraction-free: ``pivot * row - factor *
 pivot_row``, divided by the gcd of its entries, so numbers stay as small as
 the reduced rationals of a Fraction elimination.  Unlike Bareiss's
 exact-division update this leaves rows with a zero in the pivot column
-untouched, so sparse rows stay sparse.  ``inertia`` eliminates a symmetric integer
-matrix on its upper triangle alone and divides each remaining block by one
-content per pivot.  Results equal a Fraction elimination's exactly; nothing here
-uses floating point.  The one sparse integer product, ``apply``, runs the raising
-operator, the Gaudin Casimirs and, through ``pairing``, the Gram matrix of a kernel
-and the exact Gaudin checks.
+untouched, so sparse rows stay sparse.  ``inertia`` takes a symmetric integer
+matrix as its upper triangle, the one form it reads, eliminates that triangle
+alone and divides each remaining block by one content per pivot.  Results equal
+a Fraction elimination's exactly; nothing here uses floating point.  The one
+sparse integer product, ``apply``, runs the raising operator, the Gaudin
+Casimirs and, through ``pairing``, the exact Gaudin checks.
 """
 
 from __future__ import annotations
@@ -102,27 +102,26 @@ def pairing(vectors: IntRows, weights: Sequence[int], others: IntRows) -> list[l
     return apply(columns, len(others), vectors)
 
 
-def inertia(entries: IntRows) -> tuple[int, int]:
-    """(pos, neg) of a nonsingular symmetric integer matrix, by congruence.
+def inertia(rows: IntRows) -> tuple[int, int]:
+    """(pos, neg) of a nonsingular symmetric integer matrix given by its upper triangle, row
+    r from its diagonal on, by congruence; the rows are left as they are.
 
-    The matrix is divided by its content, a positive scalar that keeps the
-    inertia.  Row r is then kept from its diagonal on, and pivot i turns each
-    later row into piv * row - f * pivot row (f read off the pivot row, by
-    symmetry), so the block left is piv times the Schur complement: a negative
-    pivot flips the signs of the pivots after it.  Each block is divided by its
-    content.  A zero pivot is swapped for a later nonzero diagonal entry; when
-    every remaining one vanishes, adding row and column j to row and column i
-    exposes 2*a[i][j].  Raises DomainError on singular, non-square or
-    non-symmetric input.
+    The matrix is divided by its content, a positive scalar that keeps the inertia.
+    Pivot i turns each later row into piv * row - f * pivot row (f read off the pivot row,
+    by symmetry), so the block left is piv times the Schur complement: a negative pivot
+    flips the signs of the pivots after it.  Each block is divided by its content.  A zero
+    pivot is swapped for a later nonzero diagonal entry; when every remaining one vanishes,
+    adding row and column j to row and column i exposes 2*a[i][j].  Raises DomainError on
+    singular input, or unless row r holds size - r entries.
     """
+    size = len(rows)
+    if [len(row) for row in rows] != list(range(size, 0, -1)):
+        raise DomainError("rows are not an upper triangle: row r must hold size - r entries")
     # star-args over lists, not generators: a generator's argument tuple is resized, and
     # each call then parks one tuple in CPython's free list of its final size
-    content = math.gcd(*[math.gcd(*row) for row in entries])
-    a = [[x // content for x in row] if content > 1 else list(row) for row in entries]
-    if list(map(list, zip(*a))) != a:
-        raise DomainError("matrix is not square and symmetric")
-    size = len(a)
-    t = [row[r:] for r, row in enumerate(a)]
+    content = math.gcd(*[math.gcd(*row) for row in rows])
+    # every update below makes new rows, so the caller's rows are never written
+    t = [[x // content for x in row] for row in rows] if content > 1 else list(rows)
     pos, flip = 0, False
     for i in range(size):
         if not t[i][0]:

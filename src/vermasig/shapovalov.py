@@ -9,12 +9,16 @@ to integers over a common denominator D.  The raising equations are
 triangular in the first factor, so the kernel comes from an integer recursion
 over the first part, without elimination, and is then checked exactly against
 the raising operator.  The kernel (a positive scale and an integer vector per
-free column), the norms times D^m and the Gram matrix (``exact.pairing`` of the
-kernel through the norms) are integers, and one elimination of that Gram matrix
-decides both nondegeneracy and inertia, which the GramMatrix stores.  Each basis keeps
-one integer ``Level``: the compositions, their index, the steps k(a_i - (k - 1)D) of
-E F^k v = k(lam - k + 1) F^(k-1) v over D, and from them the sparse raising operator and
-the norms, which every kernel check, Gram matrix and Gaudin image of the basis reads.
+free column), the norms times D^m and the Gram matrix (the pairing of the kernel
+through the norms, kept as its upper triangle) are integers, and one elimination
+of that triangle decides both nondegeneracy and inertia, which the GramMatrix
+stores.  What depends on (m, n) alone is built once per shape into a cached
+``Shape``: the compositions, their index, the free columns, the raising
+operator's moves and the kernel recursion's program.  Each basis keeps one
+integer ``Level`` of its weights: the steps k(a_i - (k - 1)D) of
+E F^k v = k(lam - k + 1) F^(k-1) v over D, and from them and its Shape the sparse
+raising operator and the norms, which every kernel check, Gram matrix and Gaudin
+image of the basis reads.
 No floating point anywhere in this module; it is the trust anchor for the other modules' tests.
 """
 
@@ -59,45 +63,93 @@ def shapovalov_norm(lam: RationalLike, k: int) -> Fraction:
     return Fraction(Level(lam.denominator, (lam.numerator,), k).norms[0], lam.denominator**k)
 
 
+@dataclass(frozen=True, eq=False)
+class Shape:
+    """The index arithmetic of the level-m weight space of n factors, which every Level of
+    that (m, n) shares whatever its weights; built once per (m, n) by ``shape``."""
+
+    compositions: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+    # the compositions with k_1 = 0, where the kernel vectors are free
+    free_columns: tuple[int, ...]
+    # the raising operator's row count, and per composition k its (row of k - e_i, flat
+    # step i*m + k_i - 1) over k_i > 0
+    below: int
+    moves: tuple[tuple[tuple[int, int], ...], ...]
+    # per free column, the kernel recursion (_kernel) over its box: the flat positions'
+    # columns and first parts, and from position 1 on their (flat step, back position) terms
+    program: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[tuple, ...]], ...]
+
+
+# cached like compositions; nothing is built at import
+@functools.lru_cache(maxsize=256, typed=True)
+def shape(m: int, n: int) -> Shape:
+    """The Shape of level m over n factors."""
+    comps = compositions(m, n)
+    index = {c: r for r, c in enumerate(comps)}
+    below = {c: r for r, c in enumerate(compositions(m - 1, n))} if m else {}
+    moves = tuple(
+        tuple((below[comp[:i] + (k - 1,) + comp[i + 1 :]], i * m + k - 1)
+              for i, k in enumerate(comp) if k)
+        for comp in comps
+    )
+    free = tuple(c for c, comp in enumerate(comps) if not comp[0])
+    program = tuple(_program(comps[f][1:], m, index) for f in free)
+    return Shape(comps, index, free, len(below), moves, program)
+
+
+def _program(rest: tuple[int, ...], m: int, index: dict) -> tuple:
+    """The kernel recursion over the box of free column (0,) + rest: its positions k_rest =
+    rest - d, 0 <= d <= rest, last part fastest, with their columns and first parts
+    m - |k_rest|, and from position 1 on their terms (i*m + k_i, position of k + e_i) over
+    the factors i > 0 (counted from 0) with k_i < rest_i:
+    y(k) = -sum steps[i*m + k_i] y(k + e_i)."""
+    strides = [math.prod(x + 1 for x in rest[i + 1 :]) for i in range(len(rest))]
+    cols, firsts, terms = [], [], []
+    for pos, krest in enumerate(itertools.product(*[range(x, -1, -1) for x in rest])):
+        first = m - sum(krest)
+        cols.append(index[(first,) + krest])
+        firsts.append(first)
+        terms.append(tuple(
+            ((i + 1) * m + k, pos - stride)
+            for i, (x, k, stride) in enumerate(zip(rest, krest, strides)) if k < x
+        ))
+    return tuple(cols), tuple(firsts), tuple(terms[1:])
+
+
 @dataclass(frozen=True)
 class Level:
-    """The level-m weight space of the product of Vermas with weights nums / D, on integers;
-    each table is built on first use."""
+    """The level-m weight space of the product of Vermas with weights nums / D, on integers:
+    the tables of these weights, each built on first use from the Shape of (m, n)."""
 
     den: int
     nums: tuple[int, ...]
     m: int
 
     @functools.cached_property
-    def compositions(self) -> tuple[tuple[int, ...], ...]:
-        return compositions(self.m, len(self.nums))
+    def shape(self) -> Shape:
+        return shape(self.m, len(self.nums))
 
     @functools.cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {c: r for r, c in enumerate(self.compositions)}
-
-    @functools.cached_property
-    def steps(self) -> list[list[int]]:
-        """steps[i][k - 1] = k(a_i - (k - 1)D), k = 1..m: D E F^k v_i over F^(k-1) v_i."""
-        return [[k * (a - (k - 1) * self.den) for k in range(1, self.m + 1)] for a in self.nums]
+    def steps(self) -> list[int]:
+        """steps[i*m + k - 1] = k(a_i - (k - 1)D), k = 1..m: D E F^k v_i over F^(k-1) v_i."""
+        den, m = self.den, self.m
+        return [k * (a - (k - 1) * den) for a in self.nums for k in range(1, m + 1)]
 
     @functools.cached_property
     def raising(self) -> tuple[int, exact.Columns]:
         """D times the raising operator into level m - 1: its row count, and per composition
-        k the sparse column of (k with k_i decremented, steps[i][k_i - 1]) over k_i > 0."""
-        below = compositions(self.m - 1, len(self.nums)) if self.m else ()
-        steps, index = self.steps, {c: r for r, c in enumerate(below)}
-        return len(index), [
-            [(index[comp[:i] + (k - 1,) + comp[i + 1 :]], steps[i][k - 1])
-             for i, k in enumerate(comp) if k]
-            for comp in self.compositions
-        ]
+        k the sparse column of (k with k_i decremented, its step) over k_i > 0."""
+        steps, shape = self.steps, self.shape
+        return shape.below, [[(row, steps[s]) for row, s in moves] for moves in shape.moves]
 
     @functools.cached_property
     def norms(self) -> list[int]:
-        """D^m times the product form's diagonal: per k, prod_i of steps[i][:k_i]."""
-        running = [list(itertools.accumulate(row, operator.mul, initial=1)) for row in self.steps]
-        return [math.prod(r[k] for r, k in zip(running, comp)) for comp in self.compositions]
+        """D^m times the product form's diagonal: per k, prod_i of the first k_i steps of i."""
+        steps, m = self.steps, self.m
+        running = [list(itertools.accumulate(steps[i * m : (i + 1) * m], operator.mul, initial=1))
+                   for i in range(len(self.nums))]
+        return [math.prod(map(operator.getitem, running, comp)) for comp in self.shape.compositions]
 
     def check_killed(self, vectors, what: str) -> None:
         """Raise InvariantError unless the raising operator kills each vector, named ``what``."""
@@ -122,7 +174,7 @@ class SingularBasis:
     @property
     def free_columns(self) -> tuple[int, ...]:
         """The compositions with k_1 = 0, where the kernel vectors are free."""
-        return tuple(c for c, comp in enumerate(self.level.compositions) if not comp[0])
+        return self.level.shape.free_columns
 
     @property
     def dim(self) -> int:
@@ -158,36 +210,26 @@ def _kernel(level: Level) -> list[tuple[int, tuple[int, ...]]]:
 
         y(j + e_1) = -sum_{i >= 2} (j_i + 1)(a_i - j_i D) y(j + e_i).
 
-    y is nonzero only at k = f + |d| e_1 - d for 0 <= d <= f on parts 2..n; they are
-    visited in an order that reaches d - e_i before d.  M_1(m) v =
+    y is nonzero only at k = f + |d| e_1 - d for 0 <= d <= f on parts 2..n; the shape's
+    program visits them in an order that reaches d - e_i before d.  M_1(m) v =
     y M_1(m) / M_1(k_1) is divided by its gcd, so s > 0 is the least scale.
     """
-    m, comps, index, steps = level.m, level.compositions, level.index, level.steps
+    m, steps, shape = level.m, level.steps, level.shape
     tail = [1] * (m + 1)  # tail[t] = M_1(m) / M_1(t)
     for t in range(m - 1, -1, -1):
-        tail[t] = tail[t + 1] * steps[0][t]
+        tail[t] = tail[t + 1] * steps[t]
     sign = 1 if tail[0] > 0 else -1  # so that s = tail[0] / (gcd * sign) > 0
-    kernel = []
-    for f in comps:
-        if f[0]:
-            continue
-        rest = f[1:]
-        # y[pos] at the flat position of d = rest - k in the box d <= rest, last part fastest
-        strides = [math.prod(x + 1 for x in rest[i + 1 :]) for i in range(len(rest))]
-        parts = list(zip(steps[1:], rest, strides))
-        y, cols, vals = [], [], []
-        for krest in itertools.product(*[range(x, -1, -1) for x in rest]):
-            pos = len(y)
-            value = 0 if pos else 1
-            for (c, x, stride), k in zip(parts, krest):
-                if k < x:
-                    value -= c[k] * y[pos - stride]
+    kernel, size = [], len(shape.compositions)
+    for cols, firsts, terms in shape.program:
+        y = [1]
+        for term in terms:
+            value = 0
+            for s, back in term:
+                value -= steps[s] * y[back]
             y.append(value)
-            k1 = m - sum(krest)
-            cols.append(index[(k1,) + krest])
-            vals.append(value * tail[k1])
+        vals = [v * tail[k] for v, k in zip(y, firsts)]
         g = math.gcd(*vals) * sign
-        vec = [0] * len(comps)
+        vec = [0] * size
         for c, v in zip(cols, vals):
             vec[c] = v // g
         kernel.append((tail[0] // g, tuple(vec)))
@@ -198,8 +240,9 @@ def _kernel(level: Level) -> list[tuple[int, tuple[int, ...]]]:
 class GramMatrix:
     """The induced form on a multiplicity space, stored as integers with its inertia."""
 
-    # (d, scales, G): entry (u, v) is G[u][v] / (s_u * s_v * d) for the symmetric integer
-    # Gram G, the kernel scales s_u > 0 and d = D^m; entries decodes it on first read
+    # (d, scales, T): row u of T is row u of the symmetric integer Gram G from its diagonal
+    # on, T[u][v - u] = G[u][v]; entry (u, v) is G[u][v] / (s_u * s_v * d) for the kernel
+    # scales s_u > 0 and d = D^m; entries decodes it on first read
     integral_gram: tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
     # (pos, neg) of G, which is the form's: it differs by a positive diagonal congruence
     inertia: tuple[int, int] = field(compare=False, repr=False)
@@ -210,24 +253,37 @@ class GramMatrix:
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        d, scales, g = self.integral_gram
+        d, scales, t = self.integral_gram
         return tuple(
-            tuple(Fraction(x, su * sv * d) for x, sv in zip(row, scales))
-            for row, su in zip(g, scales)
+            tuple(Fraction(t[min(u, v)][abs(v - u)], su * sv * d) for v, sv in enumerate(scales))
+            for u, su in enumerate(scales)
         )
 
 
 def gram_on_multiplicity(lams: Sequence[RationalLike], m: int) -> GramMatrix:
     """Gram matrix of the induced form on the level-m multiplicity space: the integer
-    pairing of the kernel vectors through the norms, with its inertia from one elimination."""
+    pairing of the kernel vectors through the norms, upper triangle only, with its inertia
+    from one elimination of that triangle."""
     basis = singular_basis(lams, m)
     scales, vectors = zip(*basis.integral_vectors)
-    g = exact.pairing(vectors, basis.level.norms, vectors)
+    norms, size = basis.level.norms, len(vectors)
+    # vectors are visited last first, so column k lists (v, norms[k] v[k]) for v >= u only
+    columns, rows = [[] for _ in norms], []
+    for u in range(size - 1, -1, -1):
+        support = [(k, x) for k, x in enumerate(vectors[u]) if x]
+        for k, x in support:
+            columns[k].append((u, norms[k] * x))
+        row = [0] * (size - u)
+        for k, x in support:
+            for v, e in columns[k]:
+                row[v - u] += x * e
+        rows.append(tuple(row))
+    triangle = tuple(reversed(rows))
     try:
-        inertia = exact.inertia(g)
+        inertia = exact.inertia(triangle)
     except DomainError:
         raise GenericityError("induced form is degenerate; weights not generic") from None
-    return GramMatrix((basis.level.den**basis.level.m, scales, tuple(map(tuple, g))), inertia)
+    return GramMatrix((basis.level.den**basis.level.m, scales, triangle), inertia)
 
 
 def exact_signature(gram: GramMatrix) -> tuple[int, int]:

@@ -220,7 +220,7 @@ def check_every_hamiltonian(system) -> None:
     for a, b in itertools.combinations(mats, 2):
         assert ((a * sigma) @ b == (b * sigma) @ a).all()
     d = basis.level.den ** basis.level.m
-    norms = [d * x for x in fraction_reference.weight_space_norms(basis.lams, basis.level.compositions)]
+    norms = [d * x for x in fraction_reference.weight_space_norms(basis.lams, basis.level.shape.compositions)]
     assert all(x.denominator == 1 for x in norms)
     kernel = np.array([u for _, u in basis.integral_vectors], dtype=object)
     gram = (kernel * np.array([int(x) for x in norms], dtype=object)) @ kernel.T

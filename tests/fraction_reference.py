@@ -9,16 +9,22 @@ products.  The tests require the library to return exactly these values.
 before its singular vectors came from a triangular recursion; it is the
 second reference for that recursion.  ``pairing`` and ``raise_vectors`` are the
 integer product loops the library ran before its one sparse product
-``exact.apply``, and ``cleared`` is the Fraction front end its integer
-``inertia`` no longer has.
+``exact.apply``.  ``triangle`` is the front end its integer ``inertia`` no longer
+has: it clears Fractions, checks that a full matrix is square and symmetric and
+keeps its upper triangle, the one form ``inertia`` reads.  ``kernel`` is the
+singular-vector recursion as the oracle ran it before its index arithmetic was
+built once per shape.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from vermasig.exact import _gauss_jordan
+from vermasig.shapovalov import compositions
+from vermasig.sigchar import DomainError
 
 
 def rref(mat):
@@ -172,11 +178,60 @@ def raise_vectors(columns, size, vectors):
     return out
 
 
-def cleared(entries):
-    """entries times the lcm of their denominators: an integer matrix with the inertia of
-    entries, the input ``vermasig.exact.inertia`` takes."""
+def triangle(entries):
+    """The upper triangle, row r from its diagonal on, of entries times the lcm of their
+    denominators: an integer form with the inertia of entries, the one input
+    ``vermasig.exact.inertia`` takes.  Raises DomainError unless entries is square and
+    symmetric."""
+    if [list(col) for col in zip(*entries)] != [list(row) for row in entries]:
+        raise DomainError("matrix is not square and symmetric")
     scale = math.lcm(*[x.denominator for row in entries for x in row])
-    return [[int(x * scale) for x in row] for row in entries]
+    return [[int(x * scale) for x in row[r:]] for r, row in enumerate(entries)]
+
+
+def upper(matrix):
+    """Row r of a square matrix from its diagonal on."""
+    return [list(row[r:]) for r, row in enumerate(matrix)]
+
+
+def kernel(level):
+    """The singular vectors of a ``vermasig.shapovalov.Level`` as (s, s * v), by the
+    triangular recursion over the first factor that the oracle ran before its index
+    arithmetic was built once per (m, n) into a ``Shape``: per free column f, the box
+    d <= f on parts 2..n walked with ``itertools.product``, each y looked up by its
+    composition, with y(j + e_1) = -sum_{i >= 2} (j_i + 1)(a_i - j_i D) y(j + e_i)."""
+    m, n = level.m, len(level.nums)
+    comps = compositions(m, n)
+    index = {c: r for r, c in enumerate(comps)}
+    steps = [[k * (a - (k - 1) * level.den) for k in range(1, m + 1)] for a in level.nums]
+    tail = [1] * (m + 1)  # tail[t] = M_1(m) / M_1(t)
+    for t in range(m - 1, -1, -1):
+        tail[t] = tail[t + 1] * steps[0][t]
+    sign = 1 if tail[0] > 0 else -1
+    out = []
+    for f in comps:
+        if f[0]:
+            continue
+        rest = f[1:]
+        strides = [math.prod(x + 1 for x in rest[i + 1 :]) for i in range(len(rest))]
+        parts = list(zip(steps[1:], rest, strides))
+        y, cols, vals = [], [], []
+        for krest in itertools.product(*[range(x, -1, -1) for x in rest]):
+            pos = len(y)
+            value = 0 if pos else 1
+            for (c, x, stride), k in zip(parts, krest):
+                if k < x:
+                    value -= c[k] * y[pos - stride]
+            y.append(value)
+            k1 = m - sum(krest)
+            cols.append(index[(k1,) + krest])
+            vals.append(value * tail[k1])
+        g = math.gcd(*vals) * sign
+        vec = [0] * len(comps)
+        for c, v in zip(cols, vals):
+            vec[c] = v // g
+        out.append((tail[0] // g, tuple(vec)))
+    return out
 
 
 def is_singular(mat):

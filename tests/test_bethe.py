@@ -19,6 +19,7 @@ from vermasig import (
     gaudin_system,
     gram_on_multiplicity,
     master_value,
+    singular_basis,
     zy_commutator_check,
 )
 from vermasig import bethe, exact, shapovalov
@@ -186,29 +187,30 @@ def test_gaudin_system_builds_the_raising_operator_once(monkeypatch):
     assert level.raising == real(shapovalov.Level(level.den, level.nums, level.m))
 
 
-def test_each_basis_indexes_its_level_and_each_config_clears_its_points_once(monkeypatch):
-    # the kernel and the Gaudin images read one index of the basis's level, and the raising
-    # operator indexes level m - 1 from its compositions, with no second Level;
-    # the float view, the restriction, the basis and the highest-vector eigenvalues one
-    # integer view of z and one of the weights
-    indexed = counted_builds(monkeypatch, shapovalov.Level, "index")
+def test_each_shape_is_built_once_and_each_config_clears_its_points_once(monkeypatch):
+    # the compositions, their index, the raising moves and the kernel program depend on
+    # (m, n) alone: two bases of other weights and a Gaudin system of one shape build one
+    # Shape through the cache; the float view, the restriction, the basis and the
+    # highest-vector eigenvalues read one integer view of z and one of the weights
     cleared = counted_builds(monkeypatch, MasterConfig, "integral_points")
     weighed = counted_builds(monkeypatch, MasterConfig, "integral_weights")
     clear, rows = exact.integer_row, []
     monkeypatch.setattr(exact, "integer_row", lambda values: rows.append(values) or clear(values))
     cfg = MasterConfig((F(0), F(1), F(3), F(7, 2)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 3)
+    shapovalov.shape.cache_clear()
     _, witnesses = count_real_by_spectrum(cfg)
     assert len(find_critical_points(cfg, witnesses)) == cfg.dim
     assert float(highest_vector_eigenvalue(cfg, 3)) == cfg.floats[2][3]
-    # level m once
-    (level,) = indexed
     hamiltonian_matrices(cfg)
     assert cleared == weighed == [cfg]
     assert len(rows) == 2 and rows.count(cfg.weights) == rows.count(cfg.z) == 1
-    assert level.m == cfg.m
-    indexed.clear()
-    gram_on_multiplicity(cfg.weights, cfg.m)
-    assert indexed == [level]
+    first = gram_on_multiplicity((F(-1, 2), F(-3, 4), F(-7, 5), F(5, 3)), 3)
+    second = singular_basis((F(5, 2), F(-7, 10), F(1, 3), F(-9, 7)), 3)
+    system = gaudin_system(cfg)
+    assert shapovalov.shape.cache_info().misses == 1
+    built = shapovalov.shape(cfg.m, cfg.n)
+    assert second.level.shape is system.basis.level.shape is built
+    assert built.compositions == shapovalov.compositions(3, 4) and first.size == cfg.dim
 
 
 def test_gaudin_system_stores_integers_and_decodes_matrices_on_read():

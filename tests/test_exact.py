@@ -114,11 +114,11 @@ def test_inertia_matches_reference_on_random_symmetric_matrices():
         want = ref.inertia(a)
         if want is None:
             with pytest.raises(DomainError):
-                exact.inertia(ref.cleared(a))
+                exact.inertia(ref.triangle(a))
             continue
-        assert exact.inertia(ref.cleared(a)) == want, a
+        assert exact.inertia(ref.triangle(a)) == want, a
         # -A negates every pivot, so the sign flip must carry through all later pivots
-        assert exact.inertia(ref.cleared([[-x for x in row] for row in a])) == want[::-1], a
+        assert exact.inertia(ref.triangle([[-x for x in row] for row in a])) == want[::-1], a
         checked += 1
     assert checked > 150
 
@@ -133,32 +133,46 @@ def test_inertia_zero_diagonal_uses_row_column_addition():
         # a negative first pivot, then the block -[[0, 1], [1, 0]]: (1, 2)
         [[F(-1), F(1), F(0)], [F(1), F(-1), F(1)], [F(0), F(1), F(0)]],
     ):
-        assert exact.inertia(ref.cleared(a)) == ref.inertia(a)
-        assert exact.inertia(ref.cleared([[-x for x in row] for row in a])) == ref.inertia(a)[::-1]
+        assert exact.inertia(ref.triangle(a)) == ref.inertia(a)
+        assert exact.inertia(ref.triangle([[-x for x in row] for row in a])) == ref.inertia(a)[::-1]
     rng = random.Random(5)
     for _ in range(60):
         a = random_symmetric(rng, rng.randint(2, 6), zero_diagonal=True)
         want = ref.inertia(a)
         if want is not None:
-            assert exact.inertia(ref.cleared(a)) == want
+            assert exact.inertia(ref.triangle(a)) == want
 
 
 def test_inertia_of_the_oracles_largest_grams():
-    """The integer Grams of gram_on_multiplicity at n = 5, m = 4 (35 x 35) and n = 4,
-    m = 5 (21 x 21), with their Fraction entries, against the Fraction reference."""
+    """The stored integer Gram triangles of gram_on_multiplicity at n = 5, m = 4 (35 x 35)
+    and n = 4, m = 5 (21 x 21), with their Fraction entries, against the Fraction reference."""
     rng = random.Random(35)
     for n, m, size in ((5, 4, 35), (4, 5, 21)):
         for _ in range(3):
             lams = random_generic_tuple(rng, n, denoms=(2, 3, 5, 7, 97), span=200)
             gram = gram_on_multiplicity(lams, m)
-            g = [list(row) for row in gram.integral_gram[2]]
-            assert len(g) == size
-            want = ref.inertia(g)
-            assert exact.inertia(g) == gram.inertia == want, (lams, m)
-            assert exact.inertia(ref.cleared(gram.entries)) == want, (lams, m)
+            t = gram.integral_gram[2]
+            assert [len(row) for row in t] == list(range(size, 0, -1))
+            full = [[t[min(u, v)][abs(v - u)] for v in range(size)] for u in range(size)]
+            want = ref.inertia(full)
+            assert exact.inertia(t) == gram.inertia == want, (lams, m)
+            assert exact.inertia(ref.triangle(gram.entries)) == want, (lams, m)
 
 
-def test_inertia_rejects_non_square_and_non_symmetric_input():
+def test_inertia_rejects_a_ragged_triangle():
+    # the triangle is the one intake: row r holds size - r entries, so a full matrix, a
+    # short or long row and a lower triangle are refused before any elimination
+    for rows in (
+        [[1, 2], [2, 1]],
+        [[1, 2, 3], [1]],
+        [[1, 2], [3, 4], [5]],
+        [[1], [2, 3]],
+        [[1, 0]],
+        [[]],
+    ):
+        with pytest.raises(DomainError, match="upper triangle"):
+            exact.inertia(rows)
+    # the full-matrix front end of the tests checks symmetry before it keeps the triangle
     for a in (
         [[1, 2], [3, 4]],
         [[F(1), F(1, 2)], [F(1, 3), F(1)]],
@@ -168,7 +182,28 @@ def test_inertia_rejects_non_square_and_non_symmetric_input():
         [[1, 0]],
     ):
         with pytest.raises(DomainError, match="square and symmetric"):
-            exact.inertia(ref.cleared(a))
+            ref.triangle(a)
+
+
+def test_inertia_leaves_its_rows_unchanged():
+    # a GramMatrix keeps the rows it passed, so inertia must not write them: with a
+    # content above 1 and with content 1, lists and tuples, a zero diagonal and a swap
+    for rows in (
+        [[2, 4, 6], [-8, 2], [4]],
+        [[1, 2, 3], [5, 7], [-1]],
+        [[0, 3, 1], [0, 2], [5]],
+        [[0, 1], [0]],
+    ):
+        for form in (list, tuple):
+            given = [form(row) for row in rows]
+            kept = [list(row) for row in given]
+            ids = [id(row) for row in given]
+            exact.inertia(given)
+            assert [list(row) for row in given] == kept and [id(row) for row in given] == ids
+    gram = gram_on_multiplicity((F(23, 10), F(17, 10), F(-2, 5), F(-31, 7)), 3)
+    stored = gram.integral_gram[2]
+    copy = [list(row) for row in stored]
+    assert exact.inertia(stored) == gram.inertia and [list(row) for row in stored] == copy
 
 
 def test_singular_input_is_detected():
@@ -179,11 +214,11 @@ def test_singular_input_is_detected():
         a = ref.matmul(half, [list(col) for col in zip(*half)])  # symmetric, rank < size
         assert ref.inertia(a) is None
         with pytest.raises(DomainError):
-            exact.inertia(ref.cleared(a))
+            exact.inertia(ref.triangle(a))
         # the integer Gram of the same rank-deficient rows: inertia decides singularity
         cleared = [exact.integer_row(row)[1] for row in half]
         with pytest.raises(DomainError):
-            exact.inertia(exact.pairing(cleared, [1] * size, cleared))
+            exact.inertia(ref.upper(exact.pairing(cleared, [1] * size, cleared)))
 
 
 def random_int_rows(rng, nrows, size, density):
@@ -298,7 +333,7 @@ def test_gaudin_gram_carries_reference_inertia():
         gram = gram_on_multiplicity(cfg.weights, cfg.m)
         assert exact_signature(gram) == ref.inertia(gram.entries), cfg
         # the stored inertia is the one a fresh elimination of the entries finds
-        assert gram.inertia == exact.inertia(ref.cleared(gram.entries)), cfg
+        assert gram.inertia == exact.inertia(ref.triangle(gram.entries)), cfg
 
 
 def basis_instances():
@@ -340,13 +375,14 @@ def test_singular_basis_matches_both_references():
 
 
 def test_one_elimination_per_gram(monkeypatch):
-    """The oracle runs no Gauss-Jordan and one integer inertia per Gram matrix."""
+    """The oracle runs no Gauss-Jordan and one integer inertia per Gram matrix, on the
+    Gram's upper triangle, which the GramMatrix stores."""
     calls = {"inertia": [], "gauss_jordan": []}
     real_inertia, real_gauss_jordan = exact.inertia, exact._gauss_jordan
 
-    def inertia(entries):
-        calls["inertia"].append([list(row) for row in entries])
-        return real_inertia(entries)
+    def inertia(rows):
+        calls["inertia"].append(rows)
+        return real_inertia(rows)
 
     def gauss_jordan(rows, ncols):
         calls["gauss_jordan"].append([list(row) for row in rows])
@@ -357,11 +393,15 @@ def test_one_elimination_per_gram(monkeypatch):
     lams = (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7))
     for m in range(5):
         calls["inertia"].clear()
-        got = exact_signature(gram_on_multiplicity(lams, m))
+        gram = gram_on_multiplicity(lams, m)
+        got = exact_signature(gram)
         assert calls["gauss_jordan"] == [] and len(calls["inertia"]) == 1, m
-        # no Fraction reaches the elimination
-        assert all(type(x) is int for row in calls["inertia"][0] for x in row)
-        assert got == ref.inertia(calls["inertia"][0])
+        (rows,) = calls["inertia"]
+        assert rows is gram.integral_gram[2], m
+        # an upper triangle with no Fraction in it
+        assert [len(row) for row in rows] == list(range(gram.size, 0, -1)), m
+        assert all(type(x) is int for row in rows for x in row)
+        assert got == ref.inertia(gram.entries)
 
 
 def restriction_configs():

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import runpy
 from fractions import Fraction as F
 
 import pytest
@@ -112,12 +114,12 @@ def test_gram_level0_and_case1():
 def test_exact_signature_basics():
     one = F(1)
     ident = [[one if i == j else F(0) for j in range(3)] for i in range(3)]
-    assert exact.inertia(ref.cleared(ident)) == ref.inertia(ident) == (3, 0)
+    assert exact.inertia(ref.triangle(ident)) == ref.inertia(ident) == (3, 0)
     diag = [[F(2), F(0)], [F(0), F(-5)]]
-    assert exact.inertia(ref.cleared(diag)) == ref.inertia(diag) == (1, 1)
+    assert exact.inertia(ref.triangle(diag)) == ref.inertia(diag) == (1, 1)
     # zero-diagonal path
     hyperbolic = [[F(0), F(1)], [F(1), F(0)]]
-    assert exact.inertia(ref.cleared(hyperbolic)) == ref.inertia(hyperbolic) == (1, 1)
+    assert exact.inertia(ref.triangle(hyperbolic)) == ref.inertia(hyperbolic) == (1, 1)
 
 
 def test_carried_inertia_matches_a_fresh_elimination():
@@ -133,7 +135,7 @@ def test_exact_signature_errors():
     zero = [[F(0), F(0)], [F(0), F(0)]]
     assert ref.inertia(zero) is None
     with pytest.raises(DomainError):
-        exact.inertia(ref.cleared(zero))
+        exact.inertia(ref.triangle(zero))
 
 
 def test_exact_signature_random_congruence_invariance():
@@ -153,7 +155,7 @@ def test_exact_signature_random_congruence_invariance():
             for row in range(k):
                 a[row][i] += c * a[row][j]
         want = (sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0))
-        assert exact.inertia(ref.cleared(a)) == ref.inertia(a) == want
+        assert exact.inertia(ref.triangle(a)) == ref.inertia(a) == want
 
 
 def lowering_matrix(lams, m):
@@ -211,3 +213,33 @@ def test_oracle_refuses_a_non_generic_total_like_peeling():
                 call(lams, 1)
     with pytest.raises(DomainError, match="two tensor factors"):
         singular_basis((F(-1, 2),), 1)
+
+
+# the oracle workload's level caps (perfbench's Oracle.LEVEL_CAP): every (n, m) it runs
+ORACLE_LEVEL_CAP = {2: 12, 3: 7, 4: 5, 5: 4}
+
+
+def test_shape_program_matches_the_reference_recursion():
+    """Kernel, Gram triangle and inertia of every oracle shape, m = 0 and an n = 6 shape,
+    against the recursion the oracle ran before its Shape and against the full pairing."""
+    rng = random.Random(28)
+    shapes = [(n, m) for n, cap in ORACLE_LEVEL_CAP.items() for m in range(cap + 1)] + [(6, 3)]
+    assert (5, 4) in shapes and (2, 0) in shapes
+    for n, m in shapes * 3:
+        lams = random_generic_tuple(rng, n)
+        basis = singular_basis(lams, m)
+        level = basis.level
+        assert basis.integral_vectors == tuple(ref.kernel(level)), (lams, m)
+        gram = gram_on_multiplicity(lams, m)
+        scales, vectors = zip(*basis.integral_vectors)
+        full = exact.pairing(vectors, level.norms, vectors)
+        assert gram.integral_gram == (level.den**m, scales, tuple(map(tuple, ref.upper(full)))), (lams, m)
+        assert gram.inertia == ref.inertia(full), (lams, m)
+
+
+def test_oracle_demo_prints_the_golden_report(capsys):
+    # the singular vectors, a Gram matrix, an inertia and six peel cross-checks, byte for byte
+    here = os.path.dirname(__file__)
+    runpy.run_path(os.path.join(here, "..", "demos", "03_shapovalov_oracle.py"))
+    with open(os.path.join(here, "golden", "oracle_demo.txt"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
