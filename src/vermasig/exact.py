@@ -6,11 +6,20 @@ pivot_row``, divided by the gcd of its entries, so numbers stay as small as
 the reduced rationals of a Fraction elimination.  Unlike Bareiss's
 exact-division update this leaves rows with a zero in the pivot column
 untouched, so sparse rows stay sparse.  ``inertia`` takes a symmetric integer
-matrix as its upper triangle, the one form it reads, eliminates that triangle
-alone and divides each remaining block by one content per pivot.  Results equal
-a Fraction elimination's exactly; nothing here uses floating point.  The one
-sparse integer product, ``apply``, runs the raising operator, the Gaudin
-Casimirs and, through ``pairing``, the exact Gaudin checks.
+matrix as its upper triangle, the one form it reads, and eliminates that
+triangle alone, dividing each pivot step only by divisors proved exact in
+advance.  With pivot p, off-diagonal pivot row f and c = gcd(f), the update
+p*x_kl - f_k*f_l of entry x_kl is divided by d0 = gcd(p, c^2) = a*b, a = gcd(d0, c),
+b = d0/a, as (p/d0)*x_kl - (f_k/a)*(f_l/b): at each prime v(d0) <= 2v(c), so
+v(a) = min(v(d0), v(c)) and v(b) = v(d0) - v(a) are at most v(c), and a, b divide c.
+The update is a 2x2 minor of the block.  If the step before, with pivot p', divided
+its update of the integer block A by delta, Sylvester's two-step identity (Bareiss,
+Math. Comp. 22, 1968) makes that minor p'*M/delta^2 for a 3x3 minor M of A; it is an
+integer, so delta^2/g divides M for g = gcd(p', delta^2), and q = p'/g divides it.  So
+the update is also divided by the carry e = q/gcd(q, d0), and lcm(d0, q) = d0*e is the
+next delta.  Results equal a Fraction elimination's exactly; nothing here uses floating
+point.  The one sparse integer product, ``apply``, runs the raising operator, the
+Gaudin Casimirs and, through ``pairing``, the exact Gaudin checks.
 """
 
 from __future__ import annotations
@@ -107,12 +116,17 @@ def inertia(rows: IntRows) -> tuple[int, int]:
     r from its diagonal on, by congruence; the rows are left as they are.
 
     The matrix is divided by its content, a positive scalar that keeps the inertia.
-    Pivot i turns each later row into piv * row - f * pivot row (f read off the pivot row,
-    by symmetry), so the block left is piv times the Schur complement: a negative pivot
-    flips the signs of the pivots after it.  Each block is divided by its content.  A zero
-    pivot is swapped for a later nonzero diagonal entry; when every remaining one vanishes,
-    adding row and column j to row and column i exposes 2*a[i][j].  Raises DomainError on
-    singular input, or unless row r holds size - r entries.
+    Pivot p turns each later row into p * row - f_k * pivot row (f read off the pivot row,
+    by symmetry), divided by d0 * e > 0, so the block left is a positive multiple of p
+    times the Schur complement: a negative pivot flips the signs of the pivots after it.
+    d0 = gcd(p, gcd(f)^2) = a * b with a, b dividing every f_k (the per-prime bound of the
+    module docstring), so the update is (p/d0) * x - (f_k/a) * (f_l/b) and needs no
+    division; e = q/gcd(q, d0) > 1 divides it too, where q = p'/gcd(p', delta^2) for the
+    previous pivot p' and divisor delta (Sylvester's identity), and then delta = d0 * e.
+    A zero pivot is swapped for a later nonzero diagonal entry; when every remaining one
+    vanishes, adding row and column j to row and column i exposes 2*a[i][j]; either way
+    q restarts at 1.  Raises DomainError on singular input, or unless row r holds
+    size - r entries.
     """
     size = len(rows)
     if [len(row) for row in rows] != list(range(size, 0, -1)):
@@ -122,20 +136,31 @@ def inertia(rows: IntRows) -> tuple[int, int]:
     content = math.gcd(*[math.gcd(*row) for row in rows])
     # every update below makes new rows, so the caller's rows are never written
     t = [[x // content for x in row] for row in rows] if content > 1 else list(rows)
-    pos, flip = 0, False
+    pos, flip, carry = 0, False, 1
     for i in range(size):
         if not t[i][0]:
             t[i:] = _expose_pivot(t[i:])
+            carry = 1
         prow = t[i]
         piv = prow[0]
         pos += (piv > 0) != flip
         flip ^= piv < 0
+        f = prow[1:]
+        c = math.gcd(*f)
+        d0 = math.gcd(piv, c * c)
+        a = math.gcd(d0, c)
+        b, e, p = d0 // a, carry // math.gcd(carry, d0), piv // d0
+        fa = [x // a for x in f] if a > 1 else f
+        fb = [x // b for x in f] if b > 1 else f
         for k in range(1, size - i):
-            f, row = prow[k], t[i + k]
-            t[i + k] = [piv * x - f * y for x, y in zip(row, prow[k:])] if f else [piv * x for x in row]
-        g = math.gcd(*[math.gcd(*row) for row in t[i + 1 :]])
-        if g > 1:
-            t[i + 1 :] = [[x // g for x in row] for row in t[i + 1 :]]
+            fk, row, tail = fa[k - 1], t[i + k], fb[k - 1 :]
+            if not fk:
+                t[i + k] = [p * x // e for x in row] if e > 1 else [p * x for x in row]
+            elif e > 1:
+                t[i + k] = [(p * x - fk * y) // e for x, y in zip(row, tail)]
+            else:
+                t[i + k] = [p * x - fk * y for x, y in zip(row, tail)]
+        carry = abs(piv) // math.gcd(piv, (d0 * e) ** 2)
     return pos, size - pos
 
 

@@ -120,36 +120,34 @@ def _program(rest: tuple[int, ...], m: int, index: dict) -> tuple:
 @dataclass(frozen=True)
 class Level:
     """The level-m weight space of the product of Vermas with weights nums / D, on integers:
-    the tables of these weights, each built on first use from the Shape of (m, n)."""
+    the tables of these weights, built with the level from the Shape of (m, n)."""
 
     den: int
     nums: tuple[int, ...]
     m: int
+    shape: Shape = field(init=False, repr=False, compare=False)
+    # steps[i*m + k - 1] = k(a_i - (k - 1)D), k = 1..m: D E F^k v_i over F^(k-1) v_i
+    steps: list[int] = field(init=False, repr=False, compare=False)
+    # D times the raising operator into level m - 1: its row count, and per composition k
+    # the sparse column of (k with k_i decremented, its step) over k_i > 0
+    raising: tuple[int, exact.Columns] = field(init=False, repr=False, compare=False)
+    # D^m times the product form's diagonal: per k, prod_i of the first k_i steps of i
+    norms: list[int] = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def shape(self) -> Shape:
-        return shape(self.m, len(self.nums))
-
-    @functools.cached_property
-    def steps(self) -> list[int]:
-        """steps[i*m + k - 1] = k(a_i - (k - 1)D), k = 1..m: D E F^k v_i over F^(k-1) v_i."""
-        den, m = self.den, self.m
-        return [k * (a - (k - 1) * den) for a in self.nums for k in range(1, m + 1)]
-
-    @functools.cached_property
-    def raising(self) -> tuple[int, exact.Columns]:
-        """D times the raising operator into level m - 1: its row count, and per composition
-        k the sparse column of (k with k_i decremented, its step) over k_i > 0."""
-        steps, shape = self.steps, self.shape
-        return shape.below, [[(row, steps[s]) for row, s in moves] for moves in shape.moves]
-
-    @functools.cached_property
-    def norms(self) -> list[int]:
-        """D^m times the product form's diagonal: per k, prod_i of the first k_i steps of i."""
-        steps, m = self.steps, self.m
+    def __post_init__(self) -> None:
+        den, nums, m = self.den, self.nums, self.m
+        grid = shape(m, len(nums))
+        steps = [k * (a - (k - 1) * den) for a in nums for k in range(1, m + 1)]
         running = [list(itertools.accumulate(steps[i * m : (i + 1) * m], operator.mul, initial=1))
-                   for i in range(len(self.nums))]
-        return [math.prod(map(operator.getitem, running, comp)) for comp in self.shape.compositions]
+                   for i in range(len(nums))]
+        tables = {
+            "shape": grid,
+            "steps": steps,
+            "raising": (grid.below, [[(row, steps[s]) for row, s in moves] for moves in grid.moves]),
+            "norms": [math.prod(map(operator.getitem, running, comp)) for comp in grid.compositions],
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)  # frozen: set once, here
 
     def check_killed(self, vectors, what: str) -> None:
         """Raise InvariantError unless the raising operator kills each vector, named ``what``."""

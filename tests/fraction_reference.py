@@ -13,7 +13,9 @@ integer product loops the library ran before its one sparse product
 has: it clears Fractions, checks that a full matrix is square and symmetric and
 keeps its upper triangle, the one form ``inertia`` reads.  ``kernel`` is the
 singular-vector recursion as the oracle ran it before its index arithmetic was
-built once per shape.
+built once per shape.  ``content_inertia`` is the integer inertia as it ran before
+each pivot step divided only by divisors known in advance: every remaining block
+divided by its content.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from vermasig.exact import _gauss_jordan
+from vermasig.exact import _expose_pivot, _gauss_jordan
 from vermasig.shapovalov import compositions
 from vermasig.sigchar import DomainError
 
@@ -296,3 +298,27 @@ def inertia(entries):
             a[r][i] = Fraction(0)
             a[i][r] = Fraction(0)
     return pos, neg
+
+
+def content_inertia(rows):
+    """(pos, neg) of a nonsingular symmetric integer matrix given by its upper triangle, by
+    fraction-free congruence: pivot i turns each later row into piv * row - f * pivot row,
+    and the block left is divided by its content.  Raises DomainError on singular input."""
+    size = len(rows)
+    content = math.gcd(*[math.gcd(*row) for row in rows])
+    t = [[x // content for x in row] for row in rows] if content > 1 else list(rows)
+    pos, flip = 0, False
+    for i in range(size):
+        if not t[i][0]:
+            t[i:] = _expose_pivot(t[i:])
+        prow = t[i]
+        piv = prow[0]
+        pos += (piv > 0) != flip
+        flip ^= piv < 0
+        for k in range(1, size - i):
+            f, row = prow[k], t[i + k]
+            t[i + k] = [piv * x - f * y for x, y in zip(row, prow[k:])]
+        g = math.gcd(*[math.gcd(*row) for row in t[i + 1 :]])
+        if g > 1:
+            t[i + 1 :] = [[x // g for x in row] for row in t[i + 1 :]]
+    return pos, size - pos

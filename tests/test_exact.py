@@ -16,6 +16,7 @@ import pytest
 
 import fraction_reference as ref
 from bethe_reference import hamiltonian_matrices_per_factor
+from test_shapovalov import ORACLE_LEVEL_CAP
 from vermasig import (
     DomainError,
     GenericityError,
@@ -204,6 +205,98 @@ def test_inertia_leaves_its_rows_unchanged():
     stored = gram.integral_gram[2]
     copy = [list(row) for row in stored]
     assert exact.inertia(stored) == gram.inertia and [list(row) for row in stored] == copy
+
+
+def test_inertia_equals_both_references_on_every_oracle_shape():
+    """The stored Gram triangle of every (n, m) under the oracle workload's level caps, and
+    of n = 6, m = 3, three generic tuples each: the inertia equals the content elimination's
+    and the Fraction elimination's, and that of the negated triangle their reversal."""
+    rng = random.Random(29)
+    shapes = [(n, m) for n, cap in ORACLE_LEVEL_CAP.items() for m in range(cap + 1)] + [(6, 3)]
+    for n, m in shapes * 3:
+        lams = random_generic_tuple(rng, n, denoms=(2, 3, 5, 7, 97), span=200)
+        t = gram_on_multiplicity(lams, m).integral_gram[2]
+        full = [[t[min(u, v)][abs(v - u)] for v in range(len(t))] for u in range(len(t))]
+        want = ref.inertia(full)
+        assert exact.inertia(t) == ref.content_inertia(t) == want, (lams, m)
+        negated = [[-x for x in row] for row in t]
+        assert exact.inertia(negated) == ref.content_inertia(negated) == want[::-1], (lams, m)
+
+
+def assert_inertia_matches_both_references(a):
+    """exact.inertia of the symmetric integer matrix a, on its upper triangle as lists and as
+    tuples, equals the content and Fraction references' (or raises with them on singular
+    input) and leaves the rows as they were."""
+    want = ref.inertia(a)
+    for form in (list, tuple):
+        given = [form(row[r:]) for r, row in enumerate(a)]
+        kept = [list(row) for row in given]
+        if want is None:
+            with pytest.raises(DomainError):
+                exact.inertia(given)
+            with pytest.raises(DomainError):
+                ref.content_inertia(given)
+        else:
+            assert exact.inertia(given) == ref.content_inertia(given) == want, a
+        assert [list(row) for row in given] == kept
+
+
+def random_int_symmetric(rng, size, bits):
+    a = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            a[i][j] = a[j][i] = rng.randint(-(2**bits), 2**bits)
+    return a
+
+
+def test_inertia_takes_each_divisor_path():
+    rng = random.Random(61)
+    # dense 60-bit entries: the pivot row shares almost nothing with the pivot, so
+    # gcd(p, gcd(f)^2) is 1 and the carry of the step before divides the update
+    unit = 0
+    for _ in range(150):
+        a = random_int_symmetric(rng, rng.randint(2, 10), 60)
+        unit += math.gcd(a[0][0], math.gcd(*a[0][1:]) ** 2) == 1
+        assert_inertia_matches_both_references(a)
+    assert unit > 120
+    # singular dense ones, M diag(+-1) M^T of rank size - 1 or size - 2: the exact elimination
+    # must reach a zero block, which one division by a non-divisor would leave nonzero
+    for _ in range(60):
+        size = rng.randint(3, 10)
+        rank = size - rng.randint(1, 2)
+        m = [[rng.randint(-(2**30), 2**30) for _ in range(rank)] for _ in range(size)]
+        d = [rng.choice((-1, 1)) for _ in range(rank)]
+        a = ref.matmul(m, [[d[k] * row[k] for row in m] for k in range(rank)])
+        assert ref.inertia(a) is None
+        assert_inertia_matches_both_references(a)
+    # a starting content above 1, with and without a usable diagonal
+    for g in (6, 2**61 - 1, 3**40):
+        for _ in range(10):
+            a = random_int_symmetric(rng, rng.randint(1, 8), 20)
+            if rng.random() < 0.5:
+                for i in range(len(a)):
+                    a[i][i] = 0
+            if ref.inertia(a) is not None:
+                assert_inertia_matches_both_references([[g * x for x in row] for row in a])
+    # a zero pivot reached after two steps: with X = P Y the Schur complement of the 2 x 2
+    # block P in [[P, X], [X^T, S + Y^T P Y]] is S, whose first diagonal entry is 0, so the
+    # third pivot is exposed by a swap or, when all of S's diagonal is 0, an addition
+    for size, diagonal in ((4, (0, 0)), (5, (0, 0, 0)), (5, (0, 7, 0)), (6, (0, 0, -3, 0))):
+        for _ in range(10):
+            k = size - 2
+            p = random_int_symmetric(rng, 2, 60)
+            if not p[0][0] or p[0][0] * p[1][1] == p[0][1] ** 2:
+                continue
+            y = [[rng.randint(-(2**30), 2**30) for _ in range(k)] for _ in range(2)]
+            s = random_int_symmetric(rng, k, 60)
+            for i, d in enumerate(diagonal):
+                s[i][i] = d
+            x = ref.matmul(p, y)
+            yt = [list(col) for col in zip(*y)]
+            corner = ref.matmul(yt, x)
+            a = [p[r] + x[r] for r in range(2)]
+            a += [[x[0][r], x[1][r]] + [s[r][c] + corner[r][c] for c in range(k)] for r in range(k)]
+            assert_inertia_matches_both_references(a)
 
 
 def test_singular_input_is_detected():
