@@ -14,11 +14,11 @@ through the norms, kept as its upper triangle) are integers, and one elimination
 of that triangle decides both nondegeneracy and inertia, which the GramMatrix
 stores.  What depends on (m, n) alone is built once per shape into a cached
 ``Shape``: the compositions, their index, the free columns, the raising
-operator's moves and the kernel recursion's program.  Each basis keeps one
-integer ``Level`` of its weights: the steps k(a_i - (k - 1)D) of
-E F^k v = k(lam - k + 1) F^(k-1) v over D, and from them and its Shape the sparse
-raising operator and the norms, which every kernel check, Gram matrix and Gaudin
-image of the basis reads.
+operator's moves (which ``bethe``'s Bethe vectors and Z/Y check read too) and the
+kernel recursion's program.  Each basis keeps one integer ``Level`` of its weights:
+the steps k(a_i - (k - 1)D) of E F^k v = k(lam - k + 1) F^(k-1) v over D, and from
+them and its Shape the sparse raising operator and the norms, which every kernel
+check, Gram matrix and Gaudin image of the basis reads.
 No floating point anywhere in this module; it is the trust anchor for the other modules' tests.
 """
 

@@ -90,9 +90,14 @@ def test_collision_rule_is_the_polish_rule():
         assert not bethe._too_close(stack, *bethe._differences(cfg, stack))[0]
         assert math.isfinite(bethe_residual(cfg, t))
         assert np.isfinite(bethe_vector(cfg, t)).all() and master_value(cfg, t) > 0
-    for t in ([5e-14, 0.5], [0.5, 0.5 + 5e-14], [1.0, 0.5], [0.5, 0.5], [1e14, 1e14]):
+    collisions = ([5e-14, 0.5], [0.5, 0.5 + 5e-14], [1.0, 0.5], [0.5, 0.5], [1e14, 1e14])
+    for t in collisions:
         stack = np.array([t], dtype=complex)
         assert bethe._too_close(stack, *bethe._differences(cfg, stack))[0]
+    # a real or imaginary part that is not finite is refused before any arithmetic, so
+    # with no RuntimeWarning (an error under this suite's warning filter)
+    non_finite = ([math.nan, 0.5], [math.inf, 0.5], [0.5, complex(1, math.inf)])
+    for t in collisions + non_finite:
         for entry in public:
             with pytest.raises(DomainError):
                 entry(cfg, t)
@@ -328,8 +333,11 @@ def test_bethe_vector_m1_coefficients():
 
 def test_bethe_vector_two_routes_agree():
     rng = random.Random(3)
-    for _ in range(10):
-        cfg = random_config(rng, m_max=3)
+    # the CI config, n = 5, m = 4 (dim 35), after ten random ones
+    ci = MasterConfig(
+        (F(0), F(1), F(3), F(7, 2), F(5)), (F(23, 10), F(17, 10), F(-2, 5), F(-31, 7), F(-13, 9)), 4
+    )
+    for cfg in [random_config(rng, m_max=3) for _ in range(10)] + [ci]:
         t = [complex(rng.uniform(-4, 4), rng.uniform(-2, 2)) for _ in range(cfg.m)]
         direct = bethe_vector(cfg, t)
         expanded = bethe_vector_closed_form(cfg, t)
@@ -625,18 +633,32 @@ def test_zy_commutator_identity():
 
 def test_zy_commutator_check_fails_for_a_wrong_z(monkeypatch):
     # Z(t) without the last factor's term: [Z(t_a), Y(t_b)] then misses the
-    # F_n part of 2/(t_a-t_b) (Y(t_a) - Y(t_b)), already at level 0
-    def z_without_last(cfg, tval, state):
-        out = {}
-        for comp, coef in state.items():
-            factor = sum(
-                (cfg.weights[i] - 2 * comp[i]) / (tval - cfg.z[i]) for i in range(cfg.n - 1)
-            )
-            if factor != 0:
-                out[comp] = coef * factor
-        return out
+    # F_n part of 2/(t_a-t_b) (Y(t_a) - Y(t_b)), already on the moves into level 1
+    def z_without_last(cfg, t, comp):
+        return sum((cfg.weights[i] - 2 * comp[i]) / (t - cfg.z[i]) for i in range(cfg.n - 1))
 
     cfg = MasterConfig((F(0), F(1), F(3)), (F(23, 10), F(17, 10), F(-2, 5)), 1)
     assert zy_commutator_check(cfg, F(9, 2), F(-13, 7), 2)
-    monkeypatch.setattr(bethe, "_z_apply", z_without_last)
+    monkeypatch.setattr(bethe, "_z_value", z_without_last)
     assert not zy_commutator_check(cfg, F(9, 2), F(-13, 7), 2)
+
+
+def test_a_wrong_move_fails_the_zy_check_and_the_bethe_vector(monkeypatch):
+    # the last move of level 2 names the next factor, at the same k and row: the
+    # Z/Y check and the Bethe vector read the move table the raising operator reads
+    def wrong_shape(m, n):
+        grid = shape(m, n)
+        if m != 2:
+            return grid
+        *rows, last = grid.moves
+        (r, s), *rest = last
+        return replace(grid, moves=(*rows, ((r, (s + m) % (n * m)), *rest)))
+
+    shape = shapovalov.shape
+    cfg = MasterConfig((F(0), F(1), F(3)), (F(23, 10), F(17, 10), F(-2, 5)), 2)
+    t = [0.5 + 0.5j, -1.5 + 0.25j]
+    assert zy_commutator_check(cfg, F(9, 2), F(-13, 7), 1)
+    assert np.allclose(bethe_vector(cfg, t), bethe_vector_closed_form(cfg, t), rtol=0, atol=1e-12)
+    monkeypatch.setattr(bethe.shapovalov, "shape", wrong_shape)
+    assert not zy_commutator_check(cfg, F(9, 2), F(-13, 7), 1)
+    assert not np.allclose(bethe_vector(cfg, t), bethe_vector_closed_form(cfg, t))
