@@ -2,25 +2,25 @@
 
 The signature lower bound plus the dimension upper bound squeeze the ratio
 N / dim to 1; here we watch |sgn|/dim climb and the closed-form large-level
-signature take over from exact peeling.
+signature take over from exact peeling at the level that asymptotic_threshold
+proves, checked here to depth 200.
 
 Run: python demos/06_asymptotics.py
 """
 import math
 from fractions import Fraction as F
 
-from vermasig import asymptotic_signature, peel_decompose
+from vermasig import asymptotic_signature, asymptotic_threshold, peel_decompose
 
 weights = [F(23, 10), F(17, 10), F(-2, 5)]
 n = len(weights)
 depth = 200
 dec = peel_decompose(weights, depth)
 signatures = [e.signature for e in dec.entries]
-closed = [asymptotic_signature(weights, m) for m in range(depth + 1)]
-threshold = next(
-    m for m in range(depth + 1)
-    if all(closed[k] == signatures[k] for k in range(m, depth + 1))
-)
+threshold = asymptotic_threshold(weights)
+closed = [asymptotic_signature(weights, m) for m in range(threshold, depth + 1)]
+if closed != signatures[threshold:]:
+    raise SystemExit(f"closed form and peeling differ above the proved level {threshold}")
 print(f"weights {tuple(str(w) for w in weights)}")
 print(f"closed form agrees with exact peeling for every level >= {threshold}")
 print()

@@ -24,6 +24,7 @@ from .sigchar import (
     SCoeff,
     SignatureSeries,
     asymptotic_signature,
+    asymptotic_threshold,
     e_decomposition_check,
     multiply,
     peel_decompose,

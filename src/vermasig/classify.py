@@ -4,10 +4,11 @@ For generic weights the multiplicity-space signatures of
 M_{lam_1} x ... x M_{lam_n} depend only on the integer tuple
 < floor(lam), floor(lam_1), ..., floor(lam_n) > (weights sorted descending).
 This module classifies which levels carry definite spaces directly from that
-tuple, and can cross-verify the answer against exact character peeling with
-randomized fractional parts.  With two factors every level is definite, and
-its sign is the signature formula at fixed fractional parts: one
-``multiplicity_signatures`` pass gives every level up to the bound.
+tuple, and can cross-verify the answer by peeling the type's canonical
+representative (``ExplicitType.representative``), so verification draws
+nothing.  With two factors every level is definite, and its sign is the
+signature formula on that representative: one ``multiplicity_signatures`` pass
+gives every level up to the bound.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ class ExplicitType:
         """Number of positive weights; lam_i > 0 iff floor(lam_i) >= 0."""
         return sum(1 for f in self.factor_floors if f >= 0)
 
+    def representative(self) -> tuple[Fraction, ...]:
+        """Generic weights f_i + (2c + 1)/(2n) realizing the type, sorted descending: with
+        the carry c = total_floor - sum(f_i) in [0, n - 1] the fractional parts lie in
+        (0, 1) and sum to c + 1/2."""
+        part = Fraction(2 * (self.total_floor - sum(self.factor_floors)) + 1, 2 * self.n)
+        return tuple(f + part for f in self.factor_floors)
+
 
 @dataclass(frozen=True)
 class DefiniteReport:
@@ -79,9 +87,6 @@ class DefiniteReport:
             raise DomainError("levels must be strictly increasing")
         if any(s not in (-1, 1) for _, s in self.entries):
             raise DomainError("signs must be +1 or -1")
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
 
 
 def default_level_bound(t: ExplicitType) -> int:
@@ -138,8 +143,8 @@ def classify_definite(t: ExplicitType, level_bound: int | None = None) -> Defini
     Cases, dispatched in order:
       all weights negative          -> every level definite, sign (-1)^m;
       two factors                   -> every level definite, signs from one
-                                       multiplicity_signatures pass on fixed
-                                       representatives;
+                                       multiplicity_signatures pass on the
+                                       type's representative;
       one positive (n >= 3)         -> alternating signs on levels 0 through
                                        max(0, ceil(lam/2));
       2 <= p <= n-2 (n >= 4)        -> only level 0, positive;
@@ -157,11 +162,8 @@ def classify_definite(t: ExplicitType, level_bound: int | None = None) -> Defini
     if p == 0:
         _merge(levels, [(m, -1 if m % 2 else 1) for m in range(bound + 1)])
     elif n == 2:
-        # the n = 2 formula reads only the floors of x1 > x2 and x1 + x2, so fixed
-        # fractional parts with the type's carry c = floor(x1 + x2) - f1 - f2 decide it
-        (f1, f2), c = t.factor_floors, total - sum(t.factor_floors)
-        x1, x2 = f1 + Fraction(2 + c, 4), f2 + Fraction(1 + c, 4)
-        _merge(levels, list(enumerate(multiplicity_signatures((x1, x2), bound))))
+        # the n = 2 formula reads only the floors of x1, x2 and x1 + x2
+        _merge(levels, list(enumerate(multiplicity_signatures(t.representative(), bound))))
     elif p == 1:
         # ceil(lam/2) = floor(total_floor/2) + 1 for non-integral lam; the
         # max(0, .) clamp makes the same value correct for integral lam < 0.
@@ -187,11 +189,8 @@ def classify_definite(t: ExplicitType, level_bound: int | None = None) -> Defini
     return DefiniteReport(entries, bound)
 
 
-def representative_weights(
-    t: ExplicitType, rng: random.Random | None = None
-) -> tuple[Fraction, ...]:
+def representative_weights(t: ExplicitType, rng: random.Random) -> tuple[Fraction, ...]:
     """Random generic weights realizing the explicit type, sorted descending."""
-    rng = rng or random.Random(0)
     denominator = _FRAC_DENOMINATOR
     n = t.n
     carry = t.total_floor - sum(t.factor_floors)
@@ -209,22 +208,15 @@ def representative_weights(
         part = rng.randint(low, high)
         parts.append(part)
         remaining -= part
-    lams = sorted(
-        (f + Fraction(a, denominator) for f, a in zip(t.factor_floors, parts)),
-        reverse=True,
-    )
-    return tuple(lams)
+    nums = sorted((f * denominator + a for f, a in zip(t.factor_floors, parts)), reverse=True)
+    return tuple(Fraction(k, denominator) for k in nums)
 
 
-def verify_type(
-    t: ExplicitType,
-    level_bound: int | None = None,
-    rng: random.Random | None = None,
-) -> bool:
-    """Check the classified definite set against the peeling oracle."""
+def verify_type(t: ExplicitType, level_bound: int | None = None) -> bool:
+    """Check the classified definite set against peeling the type's representative."""
     report = classify_definite(t, level_bound)
-    lams, bound = representative_weights(t, rng), report.complete_up_to
-    return peel_decompose(lams, bound).definite_levels(bound) == report.entries
+    bound = report.complete_up_to
+    return peel_decompose(t.representative(), bound).definite_levels(bound) == report.entries
 
 
 def explicit_type_of(lams: Sequence[RationalLike]) -> ExplicitType:

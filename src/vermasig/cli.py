@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
 from fractions import Fraction
@@ -132,11 +131,10 @@ def _cmd_classify(args) -> int:
         "total_floor": etype.total_floor,
         "factor_floors": list(etype.factor_floors),
         "bound": bound,
-        "seed": args.seed,
     }
     fields = {"complete_up_to": bound}
     if args.verify:
-        fields["verified"] = verify_type(etype, bound, random.Random(args.seed))
+        fields["verified"] = verify_type(etype, bound)
     _emit(args, "classify", config, rows, ["level", "sign"], **fields)
     return 0 if fields.get("verified", True) else 1
 
@@ -309,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--weights", help="derive the explicit type from weights")
     p.add_argument("--bound", type=int)
     p.add_argument("--verify", action="store_true", help="cross-check against peeling")
-    p.add_argument("--seed", type=int, default=0)
     _add_format_flags(p)
     p.set_defaults(func=_cmd_classify)
 

@@ -7,6 +7,8 @@ weight means the form restricted to that weight space has ``a`` positive and
 tensor products multiply like ordinary series in e^{weight}.
 
 Everything here is exact: weights are rationals, coefficients are integers.
+``asymptotic_signature``, a closed form in the level, equals peeling's
+signature from the proved level ``asymptotic_threshold`` on.
 A weight is *generic* when it is not a nonnegative integer (negative integers
 are allowed); tuples additionally need a generic total.
 """
@@ -278,9 +280,8 @@ def asymptotic_signature(lams: Sequence[RationalLike], m: int) -> int:
     over positive weights of (1 + 2x + ... + 2x^{ceil(lam_i)}), into
     coefficients c_i and returns
     (-1)^m * sum_i binom(m + n - 2 - i, n - 2) * (-1)^i * c_i,
-    with the binomial read as a polynomial in m.  The formula holds for all
-    sufficiently large m; callers locate the threshold by comparing against
-    peel_decompose.
+    with the binomial read as a polynomial in m.  It equals peel_decompose's
+    signature from ``asymptotic_threshold(lams)`` on.
     """
     lams, m = ensure_generic_tuple(lams)[0], ensure_int(m, "level", 0)
     n = len(lams)
@@ -288,6 +289,21 @@ def asymptotic_signature(lams: Sequence[RationalLike], m: int) -> int:
     for i, (p, t) in enumerate(zip(*_numerator_product(lams))):
         total += _binom_poly(m + n - 2 - i, n - 2) * (-1) ** i * (p - t)
     return (-1) ** m * total
+
+
+def asymptotic_threshold(lams: Sequence[RationalLike]) -> int:
+    """Level from which ``asymptotic_signature`` equals peeling's signature:
+    max(0, ceil(lam) + 1, sum_{lam_i > 0} ceil(lam_i) - n + 2).
+
+    Proof.  From m >= ceil(lam) + 1 peeling's correction index is 0, so its level-m
+    signature is coefficient m of the numerator product at s = -1 over (1 + x)^(n-1):
+    the sum over i <= m of c_i (-1)^(m-i) binom(m + n - 2 - i, n - 2).  From
+    m >= sum ceil(lam_i^+) - n + 2 every ``_binom_poly`` argument m + n - 2 - i is
+    >= 0, so each binomial polynomial is a true binomial, 0 for i > m: the sums agree.
+    """
+    lams, total = ensure_generic_tuple(lams)
+    width = sum(math.ceil(l) for l in lams if l > 0)
+    return max(0, math.ceil(total) + 1, width - len(lams) + 2)
 
 
 def e_decomposition_check(mu: RationalLike, depth: int) -> bool:

@@ -98,6 +98,13 @@ def test_classify_verify_flag(capsys):
     assert json.loads(out)["verified"] is True
 
 
+def test_classify_has_no_seed(capsys):
+    # verification peels the type's canonical representative, so there is nothing to seed
+    code, out, err = run(capsys, ["classify", "--type", "4,1,1,1,1", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert "--seed" in err
+
+
 def test_classify_from_weights(capsys):
     code, out, _ = run(capsys, ["classify", "--weights", "5/2,-7/10", "--bound", "3", "--json"])
     assert code == 0

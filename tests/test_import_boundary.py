@@ -29,14 +29,15 @@ BETHE_COMMANDS = [
 ]
 
 # the public names, submodules included: those before the Bethe names became lazy, with
-# multiplicity_signatures in place of the deleted two_factor_sign and without the deleted
-# QTensorState
+# multiplicity_signatures in place of the deleted two_factor_sign, without the deleted
+# QTensorState, and with asymptotic_threshold
 PUBLIC = {
     "BoundReport", "CriticalPoint", "Decomposition", "DecompositionEntry", "DefiniteReport",
     "DomainError", "ExplicitType", "FalsificationError", "GaudinSystem", "GenericityError",
     "GramMatrix", "InvariantError", "MasterConfig", "QParam",
     "RootOfUnityError", "SCoeff", "SignatureSeries", "SingularBasis", "asymptotic_signature",
-    "bethe", "bethe_residual", "bethe_vector", "bound_check", "classify", "classify_definite",
+    "asymptotic_threshold", "bethe", "bethe_residual", "bethe_vector", "bound_check",
+    "classify", "classify_definite",
     "closed_form_norm", "coboundary_norm", "compositions", "count_real_by_spectrum",
     "crystal_multiplicity", "e_decomposition_check", "exact", "exact_signature",
     "explicit_type_of", "find_critical_points", "gaudin_system", "gram_on_multiplicity",
@@ -80,7 +81,7 @@ def test_only_the_bethe_commands_load_numpy(argv):
 
 
 def test_public_names_resolve_as_before():
-    assert len(PUBLIC) == 54 and set(vermasig.__all__) == PUBLIC
+    assert len(PUBLIC) == 55 and set(vermasig.__all__) == PUBLIC
     script = """
 import json, sys, vermasig
 names = {}

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import runpy
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ from vermasig import (
     GenericityError,
     SCoeff,
     asymptotic_signature,
+    asymptotic_threshold,
     e_decomposition_check,
     multiply,
     peel_decompose,
@@ -174,14 +177,35 @@ def test_asymptotic_leading_coefficient_is_unit():
 
 def test_asymptotic_matches_peeling_eventually():
     lams = [F(23, 10), F(17, 10), F(-2, 5)]
-    dec = peel_decompose(lams, 120)
-    signatures = [e.signature for e in dec.entries]
-    asymptotic = [asymptotic_signature(lams, m) for m in range(121)]
-    threshold = next(
-        m for m in range(121) if all(asymptotic[k] == signatures[k] for k in range(m, 121))
-    )
-    assert threshold <= 40
-    assert asymptotic[threshold:] == signatures[threshold:]
+    threshold = asymptotic_threshold(lams)
+    signatures = [e.signature for e in peel_decompose(lams, 120).entries]
+    assert [asymptotic_signature(lams, m) for m in range(threshold, 121)] == signatures[threshold:]
+
+
+def test_asymptotic_threshold():
+    # the proved bound, checked over 40 more levels on random generic tuples
+    rng = random.Random(40)
+    for _ in range(100):
+        lams = random_generic_tuple(rng, rng.randint(2, 6))
+        threshold = asymptotic_threshold(lams)
+        signatures = [e.signature for e in peel_decompose(lams, threshold + 40).entries]
+        closed = [asymptotic_signature(lams, m) for m in range(threshold, threshold + 41)]
+        assert closed == signatures[threshold:], (lams, threshold)
+    # acceptance criterion 7's two tuples, where the bound is the first level of agreement
+    assert asymptotic_threshold([F(23, 10), F(17, 10), F(-2, 5)]) == 5
+    assert asymptotic_threshold([F(7, 2), F(9, 4), F(5, 3), F(-31, 7)]) == 7
+    assert asymptotic_threshold([F(-1, 2), F(-3, 4)]) == 0
+    for lams in ([F(1, 2), F(1, 2)], [F(2), F(-1, 2)]):
+        with pytest.raises(GenericityError):
+            asymptotic_threshold(lams)
+
+
+def test_asymptotics_demo_prints_the_golden_report(capsys):
+    # the proved threshold, the |sgn|/dim trend and the leading coefficient, byte for byte
+    here = os.path.dirname(__file__)
+    runpy.run_path(os.path.join(here, "..", "demos", "06_asymptotics.py"))
+    with open(os.path.join(here, "golden", "asymptotics_demo.txt"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 @pytest.mark.parametrize("mu", [F(-1, 2), F(1, 2), F(7, 2)])
